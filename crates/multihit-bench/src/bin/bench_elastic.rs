@@ -6,7 +6,7 @@
 //!
 //! Two halves, one file:
 //!
-//! 1. **Executed** — the functional FT driver runs a 4-rank discovery three
+//! 1. **Executed** — the functional driver runs a 4-rank discovery three
 //!    ways: fault-free, survivor-shrink (a rank dies and the survivors
 //!    re-shard), and elastic (the dead rank is replaced at the next
 //!    iteration barrier via the JOIN epoch protocol, receiving boundary

@@ -1,7 +1,7 @@
 //! Fault-tolerance experiments: the checkpoint/restart overhead the paper's
 //! production runs would pay at scale (modeled with the α–β cost model and
 //! a node-MTBF failure process), and the recovery bill of the functional
-//! fault-tolerant driver under injected rank kills (executed).
+//! driver under injected rank kills (executed).
 
 use crate::report::{fmt_secs, Table};
 use multihit_cluster::driver::{

@@ -13,16 +13,21 @@
 //! ## Fault-tolerant collectives
 //!
 //! [`FtCtx`] wraps a [`RankCtx`] with the recovery protocol a multi-day
-//! production run needs: every message travels as a CRC-framed record,
-//! receivers wait with bounded timeout+backoff ([`RankCtx::recv_timeout`]),
-//! lost or corrupt frames trigger retransmit requests, broadcast frames are
-//! acknowledged, and a peer that stays silent through the whole retry
-//! budget is declared dead. Failure notifications propagate up the reduce
-//! tree (a `FAIL` frame instead of data) and back down via the broadcast,
-//! so every surviving rank learns the same dead set and the driver can
-//! re-partition the λ-range across the survivors. Fault injection
-//! ([`crate::fault`]) hooks the transmit path only — the protocol itself
-//! never cheats by looking at the plan.
+//! production run needs, and it is what every functional run uses, faulty
+//! or not: every message travels as a CRC-framed record, a rank waiting on
+//! a silent peer re-probes it once per probe interval
+//! ([`FtParams::timeout`], grown by [`FtParams::backoff`]) so lost or
+//! corrupt frames are retransmitted, and broadcast frames are acknowledged.
+//! **Elapsed time is never evidence of death**: a peer is accused only when
+//! its channel is closed — a killed rank's thread has returned and dropped
+//! its receiver, this runtime's analogue of a process death the MPI runtime
+//! reports — so a healthy rank that merely finishes much earlier or later
+//! than its peers is waited for, however long that takes. Failure
+//! notifications propagate up the reduce tree (a `FAIL` frame instead of
+//! data) and back down via the broadcast, so every surviving rank learns
+//! the same dead set and the driver can re-partition the λ-range across the
+//! survivors. Fault injection ([`crate::fault`]) hooks the transmit path
+//! only — the protocol itself never cheats by looking at the plan.
 
 use crate::fault::{crc32, FaultState, FtParams, WireFault};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -159,12 +164,13 @@ impl RankCtx {
     }
 }
 
-/// Receive error: the wait expired or the mesh shut down.
+/// Receive error: the wait expired or the other side is gone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// No message arrived within the bound.
     Timeout,
-    /// Every peer hung up and the queue is drained.
+    /// Every peer hung up and the queue is drained, or (fault-tolerant
+    /// broadcast) the peer being waited on closed its channel.
     Disconnected,
 }
 
@@ -362,7 +368,7 @@ impl BcastMsg {
 
 /// Fault-tolerant collective context: wraps a [`RankCtx`] with CRC framing,
 /// sequence-number dedup, retransmit-on-timeout, ACKed broadcast forwards,
-/// and dead-peer accusation after a bounded retry budget. One `FtCtx` serves
+/// and accusation of peers whose channel has closed. One `FtCtx` serves
 /// one iteration (one reduce + one broadcast); the driver builds a fresh one
 /// per iteration, matching how `run_ranks` rebuilds the mesh.
 pub struct FtCtx<'a> {
@@ -466,15 +472,14 @@ impl<'a> FtCtx<'a> {
     }
 
     /// Pull the next protocol-meaningful message, handling retransmit
-    /// requests, CRC rejects, and duplicates inline.
+    /// requests, CRC rejects, and duplicates inline. Frames already queued
+    /// are returned even when `timeout` is zero: a time-out means the queue
+    /// was empty at the deadline.
     fn poll(&mut self, timeout: Duration) -> Result<Inbound, CommError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout);
-            }
-            let (from, bytes) = self.ctx.recv_timeout(Some(deadline - now))?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (from, bytes) = self.ctx.recv_timeout(Some(left))?;
             let Some(f) = parse_frame(&bytes) else {
                 continue;
             };
@@ -529,10 +534,11 @@ impl<'a> FtCtx<'a> {
     /// Fault-tolerant binomial-tree reduction to rank 0 (same tree as
     /// [`RankCtx::reduce_to_root`]). Children are folded in **arrival
     /// order** — `op` must be associative and commutative, which the
-    /// driver's deterministic max already is. A child silent through the
-    /// retry budget is declared dead; a child reporting a dead subtree
-    /// (`FAIL` frame) propagates the accusation. Either way every non-root
-    /// rank still reports upward, so the tree always terminates.
+    /// driver's deterministic max already is. A silent child is re-probed
+    /// once per probe interval and declared dead only when the probe finds
+    /// its channel closed; a child reporting a dead subtree (`FAIL` frame)
+    /// propagates the accusation. Either way every non-root rank still
+    /// reports upward, so the tree always terminates.
     pub fn reduce_to_root<T, F, S, D>(&mut self, local: T, op: F, ser: S, de: D) -> ReduceOutcome<T>
     where
         F: Fn(T, T) -> T,
@@ -575,23 +581,17 @@ impl<'a> FtCtx<'a> {
                 }
                 Ok(_) => {}
                 Err(CommError::Timeout) => {
+                    // A slow child is not a dead child: re-probe (which also
+                    // recovers a dropped frame) and accuse only the children
+                    // whose channel is gone.
                     self.stats.timeouts += 1;
-                    if attempt >= self.params.retries {
-                        // Retry budget exhausted: accuse the silent children.
-                        failed = true;
-                        dead.extend(pending.iter().copied());
-                        pending.clear();
-                    } else {
-                        attempt += 1;
-                        let targets: Vec<usize> = pending.iter().copied().collect();
-                        for c in targets {
-                            if !self.send_retrans(c, TAG_REDUCE) {
-                                // Channel gone: the child is dead, no need
-                                // to wait out the budget.
-                                failed = true;
-                                dead.insert(c);
-                                pending.remove(&c);
-                            }
+                    attempt += 1;
+                    let targets: Vec<usize> = pending.iter().copied().collect();
+                    for c in targets {
+                        if !self.send_retrans(c, TAG_REDUCE) {
+                            failed = true;
+                            dead.insert(c);
+                            pending.remove(&c);
                         }
                     }
                 }
@@ -632,13 +632,15 @@ impl<'a> FtCtx<'a> {
     }
 
     /// Fault-tolerant binomial-tree broadcast of rank 0's verdict. Forwards
-    /// are ACK-confirmed with bounded resends; a child that never ACKs is
-    /// added to the returned suspect set (it does not block the rest of the
-    /// tree). Ranks listed dead in an [`BcastMsg::Abort`] are skipped.
+    /// are ACK-confirmed, resent once per probe interval; a child whose
+    /// channel closed without an ACK is added to the returned suspect set
+    /// (it does not block the rest of the tree). Ranks listed dead in an
+    /// [`BcastMsg::Abort`] are skipped.
     ///
     /// # Errors
-    /// `Err(CommError::Timeout)` if this rank never received the verdict
-    /// (its ancestor chain died); the caller aborts the iteration.
+    /// `Err(CommError::Disconnected)` if the parent's channel closed before
+    /// the verdict arrived (its ancestor chain died); the caller aborts the
+    /// iteration.
     pub fn broadcast(
         &mut self,
         root_msg: Option<BcastMsg>,
@@ -678,12 +680,9 @@ impl<'a> FtCtx<'a> {
                     Ok(_) => {}
                     Err(CommError::Timeout) => {
                         self.stats.timeouts += 1;
-                        if attempt >= self.params.retries {
-                            return Err(CommError::Timeout);
-                        }
                         attempt += 1;
                         if !self.send_retrans(parent, TAG_BCAST) {
-                            return Err(CommError::Timeout);
+                            return Err(CommError::Disconnected);
                         }
                     }
                     Err(CommError::Disconnected) => return Err(CommError::Disconnected),
@@ -704,27 +703,27 @@ impl<'a> FtCtx<'a> {
                 let (seq, mut delivered) = self.send_data(child, KIND_DATA, TAG_BCAST, &encoded);
                 let mut attempt = 0u32;
                 loop {
-                    if !delivered {
-                        suspects.insert(child);
-                        break;
-                    }
-                    match self.poll(self.params.attempt_timeout(attempt)) {
+                    // A closed channel may belong to a child that ACKed and
+                    // returned: its ACK was enqueued before its receiver
+                    // dropped, so drain the queue (zero wait) before accusing.
+                    let wait = if delivered {
+                        self.params.attempt_timeout(attempt)
+                    } else {
+                        Duration::ZERO
+                    };
+                    match self.poll(wait) {
                         Ok(Inbound::Ack {
                             from,
                             tag,
                             seq: acked,
                         }) if from == child && tag == TAG_BCAST && acked == seq => break,
                         Ok(_) => {}
-                        Err(CommError::Timeout) => {
+                        Err(CommError::Timeout) if delivered => {
                             self.stats.timeouts += 1;
-                            if attempt >= self.params.retries {
-                                suspects.insert(child);
-                                break;
-                            }
                             attempt += 1;
                             delivered = self.resend(child, TAG_BCAST);
                         }
-                        Err(CommError::Disconnected) => {
+                        Err(_) => {
                             suspects.insert(child);
                             break;
                         }
@@ -933,7 +932,16 @@ mod tests {
         faults: Option<&crate::fault::FaultState>,
         local: u64,
     ) -> Option<Result<u64, Vec<usize>>> {
-        let mut ft = FtCtx::new(ctx, crate::fault::FtParams::fast_test(), faults, 0);
+        ft_round_paced(ctx, crate::fault::FtParams::fast_test(), faults, local)
+    }
+
+    fn ft_round_paced(
+        ctx: &RankCtx,
+        params: FtParams,
+        faults: Option<&crate::fault::FaultState>,
+        local: u64,
+    ) -> Option<Result<u64, Vec<usize>>> {
+        let mut ft = FtCtx::new(ctx, params, faults, 0);
         let red = ft.reduce_to_root(local, u64::max, u64_ser, u64_de);
         if red.parent_dead {
             return None;
@@ -985,6 +993,25 @@ mod tests {
     }
 
     #[test]
+    fn ft_round_waits_out_a_slow_rank() {
+        // Rank 2 enters the collectives many probe intervals after its
+        // peers: its parent keeps probing an open channel, nobody is accused.
+        let params = FtParams {
+            timeout: Duration::from_millis(1),
+            backoff: 1.0,
+        };
+        let out = run_ranks(4, |ctx| {
+            if ctx.rank == 2 {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            ft_round_paced(&ctx, params, None, ctx.rank as u64)
+        });
+        for o in &out {
+            assert_eq!(o, &Some(Ok(3)));
+        }
+    }
+
+    #[test]
     fn ft_round_accuses_a_killed_rank() {
         use crate::fault::{FaultPlan, FaultState};
         use multihit_core::obs::Obs;
@@ -1004,7 +1031,7 @@ mod tests {
             }
             match o {
                 Some(Err(dead)) => assert!(dead.contains(&2), "rank {r} missed the death"),
-                None => {} // aborted on timeout before the verdict — allowed
+                None => {} // its parent was gone before the verdict — allowed
                 Some(Ok(_)) => panic!("rank {r} completed despite a dead peer"),
             }
         }

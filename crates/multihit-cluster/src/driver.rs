@@ -1,10 +1,14 @@
-//! The distributed greedy driver, in two modes:
+//! The distributed greedy driver, in two halves:
 //!
-//! * [`distributed_discover4`] — **functional**: real rank threads, real
+//! * [`distributed_discover4_ft`] — **functional**: real rank threads, real
 //!   simulated-GPU kernel execution, real binomial-tree reduction of one
-//!   record per rank, BitSplicing between iterations. Produces exactly the
-//!   combinations the single-process reference produces (tested), at any
-//!   cluster shape.
+//!   record per rank, BitSplicing between iterations. There is one driver:
+//!   a per-rank state machine (iteration barrier → admit joiners → rescore
+//!   *or* kernel round → reduce → verdict broadcast → splice → record) over
+//!   the fault-tolerant collectives of [`FtCtx`], and a fault-free run
+//!   ([`distributed_discover4`]) is that machine with an empty fault plan.
+//!   Produces exactly the combinations the single-process reference
+//!   produces (tested), at any cluster shape, whoever dies or joins.
 //! * [`model_run`] — **modeled**: the same schedule and communication
 //!   pattern priced by the gpusim cost model and the α–β comm model, usable
 //!   at paper scale (`G = 19411`, 6000 GPUs) where functional execution
@@ -20,7 +24,7 @@ use multihit_core::combin::binomial;
 use multihit_core::frontier::{self, Frontier};
 use multihit_core::kernelize::{kernelize, ReductionCert};
 use multihit_core::obs::Obs;
-use multihit_core::par::{default_workers, par_map_indexed};
+use multihit_core::par::{default_workers, par_map_indexed, StealStats};
 use multihit_core::reduce::{fold_partials, merge_top_k};
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::levels_scheme4;
@@ -31,7 +35,7 @@ use multihit_gpusim::exec::{run_maxf4, run_maxf4_topk};
 use multihit_gpusim::profile::{kernel_levels4, prefetch_depth4, profile_partitions};
 use multihit_gpusim::{CostModel, GpuCost};
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -232,8 +236,9 @@ fn de_scored_floor(b: &[u8]) -> (Scored<4>, u64) {
     )
 }
 
-/// Serialize a rank's top-K shard for the list reduction: a `u32` count
-/// followed by `count` 32-byte [`Scored`] records.
+/// Serialize a rank's contribution to the reduce — its top-K shard, or a
+/// one-record list holding its winner: a `u32` count followed by `count`
+/// 32-byte [`Scored`] records.
 fn ser_scored_list(l: &Vec<Scored<4>>) -> Vec<u8> {
     let mut b = Vec::with_capacity(4 + 32 * l.len());
     b.extend_from_slice(
@@ -261,10 +266,6 @@ fn de_scored_list(b: &[u8]) -> Vec<Scored<4>> {
 /// visits every global frontier member — any combination outside the union
 /// scored at most `floor` at build time and (numerator monotonicity, see
 /// [`multihit_core::frontier`]) at most that now.
-/// What each rank returns from a top-K kernel round: the broadcast
-/// `(winner, floor)` verdict, per-GPU combo counts, and its retained shard.
-type TopKRankResult = ((Scored<4>, u64), Vec<u64>, Vec<Scored<4>>);
-
 struct DistFrontier {
     /// Per-**original**-rank retained lists; empty for ranks that retain
     /// nothing (e.g. ranks that have died since the build).
@@ -361,321 +362,9 @@ fn unmap_dist_result(r: DistResult, cert: &ReductionCert, alpha: Alpha) -> DistR
     }
 }
 
-/// The stalled result a kernelized run returns when fewer than 4 genes
-/// survive reduction: every original combination contains a removed gene,
-/// so the unkernelized run stalls on iteration 1 with an empty panel.
-fn stalled_dist_result(tumor: &BitMatrix) -> DistResult {
-    DistResult {
-        combinations: Vec::new(),
-        iterations: Vec::new(),
-        uncovered: tumor.n_samples() as u32,
-    }
-}
-
-/// Run 4-hit greedy discovery functionally across simulated ranks and GPUs.
-///
-/// Every rank executes the kernels of its node's GPUs (via
-/// [`multihit_gpusim::exec`]), reduces locally, then participates in the
-/// binomial-tree reduction of one 32-byte record to rank 0; rank 0
-/// broadcasts the winner and every rank splices covered samples — the exact
-/// communication structure of §III-E.
-#[must_use]
-pub fn distributed_discover4(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    cfg: &DistributedConfig,
-) -> DistResult {
-    distributed_discover4_obs(tumor, normal, cfg, &Obs::disabled())
-}
-
-/// [`distributed_discover4`] with observability: scheduler timing
-/// (`sched_partition`), a `rank_exec` point per rank per iteration (kernel
-/// wall time vs. reduce+broadcast wall time), and a `dist_iter` point per
-/// iteration. The discovered combinations are identical to the
-/// uninstrumented run by construction.
-#[must_use]
-pub fn distributed_discover4_obs(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    cfg: &DistributedConfig,
-    obs: &Obs,
-) -> DistResult {
-    if cfg.kernelize {
-        let (red_t, red_n, cert) = kernelize_broadcast(tumor, normal, cfg, obs);
-        if cert.kept_genes() < 4 {
-            return stalled_dist_result(tumor);
-        }
-        let inner = DistributedConfig {
-            kernelize: false,
-            ..*cfg
-        };
-        let r = distributed_discover4_obs(&red_t, &red_n, &inner, obs);
-        return unmap_dist_result(r, &cert, cfg.alpha);
-    }
-    let _run_span = obs.span("distributed_discover");
-    let g = tumor.n_genes() as u32;
-    let mut work_tumor = tumor.clone();
-    let mut remaining = tumor.n_samples() as u32;
-    let mut combinations = Vec::new();
-    let mut iterations = Vec::new();
-    let n_gpus = cfg.shape.total_gpus();
-    let k = cfg.frontier_k;
-    let total_combos = binomial(u64::from(g), 4);
-    let mut frontier_state: Option<DistFrontier> = None;
-
-    while remaining > 0 {
-        if cfg.max_combinations != 0 && combinations.len() >= cfg.max_combinations {
-            break;
-        }
-        let iter_idx = iterations.len();
-        let iter_start = Instant::now();
-        let tumor_ref = &work_tumor;
-
-        // Lazy-greedy rescore round: every rank rescores its retained shard
-        // against the spliced matrix and the deterministic max is reduced to
-        // rank 0 and broadcast back. If the rescored best strictly clears
-        // the build-time floor it is provably the global argmax and the full
-        // kernel round is skipped.
-        let mut frontier_hit = false;
-        let mut frontier_best = Scored::NEG_INFINITY;
-        if let Some(fr) = frontier_state.as_ref() {
-            let lists_ref = &fr.lists;
-            let rank_results: Vec<Option<Scored<4>>> = run_ranks(cfg.shape.nodes, |ctx| {
-                let busy_start = Instant::now();
-                let mut local = Scored::NEG_INFINITY;
-                for e in &lists_ref[ctx.rank] {
-                    local = local.max_det(frontier::rescore_combo(
-                        tumor_ref, normal, None, &e.genes, cfg.alpha,
-                    ));
-                }
-                let busy_ns = elapsed_ns(busy_start);
-                let comm_start = Instant::now();
-                let root = ctx.reduce_to_root(local, Scored::max_det, ser_scored, de_scored);
-                let winner_bytes = ctx.broadcast(root.as_ref().map(ser_scored));
-                let comm_ns = elapsed_ns(comm_start);
-                let winner = de_scored(&winner_bytes);
-                if obs.is_enabled() {
-                    obs.point(
-                        "rank_exec",
-                        &[
-                            ("iter", iter_idx.into()),
-                            ("rank", ctx.rank.into()),
-                            ("busy_ns", busy_ns.into()),
-                            ("comm_ns", comm_ns.into()),
-                            ("combos", 0u64.into()),
-                            ("rescored", (lists_ref[ctx.rank].len() as u64).into()),
-                        ],
-                    );
-                    obs.counter_add("dist.rank_busy_ns", busy_ns);
-                    obs.counter_add("dist.rank_comm_ns", comm_ns);
-                }
-                Some(winner)
-            });
-            let w = rank_results[0].expect("root rescore result");
-            debug_assert!(rank_results.iter().all(|x| *x == Some(w)));
-            if fr.complete || w.score > fr.floor {
-                frontier_hit = true;
-                frontier_best = w;
-            }
-        }
-
-        let (best, combos_per_gpu) = if frontier_hit {
-            // The kernels never ran: zero combos on every GPU this round.
-            (frontier_best, vec![0u64; n_gpus])
-        } else if k > 0 {
-            // Full kernel round, retaining each rank's top-K shard: the
-            // shards reduce (binomial tree, count-prefixed records) to the
-            // global top-K at rank 0, whose head is the winner and whose
-            // K-th score is the floor broadcast for later rescore rounds.
-            let parts = cfg.scheduler.partitions_obs(cfg.scheme, g, n_gpus, obs);
-            let rank_results: Vec<TopKRankResult> = run_ranks(cfg.shape.nodes, |ctx| {
-                let busy_start = Instant::now();
-                let gpus = cfg.shape.gpus_of_rank(ctx.rank);
-                let first_gpu = gpus.start;
-                let (outs, steal) = par_map_indexed(gpus.len(), default_workers(), |i| {
-                    let p = parts[first_gpu + i];
-                    run_maxf4_topk(
-                        tumor_ref,
-                        normal,
-                        cfg.alpha,
-                        cfg.scheme,
-                        p.lo,
-                        p.hi,
-                        cfg.block_size,
-                        k,
-                    )
-                });
-                let combos: Vec<u64> = outs.iter().map(|(o, _)| o.profile.combos).collect();
-                let sweeps: u64 = outs.iter().map(|(o, _)| o.block_sweeps).sum();
-                let shards: Vec<Vec<Scored<4>>> = outs.into_iter().map(|(_, s)| s).collect();
-                let local_list = merge_top_k(&shards, k);
-                let busy_ns = elapsed_ns(busy_start);
-                let comm_start = Instant::now();
-                let root_list = ctx.reduce_to_root(
-                    local_list.clone(),
-                    |a, b| merge_top_k(&[a, b], k),
-                    ser_scored_list,
-                    de_scored_list,
-                );
-                let verdict = root_list.map(|l| {
-                    let fr = Frontier::new(l, total_combos);
-                    ser_scored_floor(&(fr.best(), fr.floor()))
-                });
-                let verdict_bytes = ctx.broadcast(verdict);
-                let comm_ns = elapsed_ns(comm_start);
-                let (winner, floor) = de_scored_floor(&verdict_bytes);
-                if obs.is_enabled() {
-                    obs.point(
-                        "rank_exec",
-                        &[
-                            ("iter", iter_idx.into()),
-                            ("rank", ctx.rank.into()),
-                            ("busy_ns", busy_ns.into()),
-                            ("comm_ns", comm_ns.into()),
-                            ("combos", combos.iter().sum::<u64>().into()),
-                            ("steal_blocks", steal.blocks.into()),
-                            ("steals", steal.steals.into()),
-                            ("block_sweeps", sweeps.into()),
-                        ],
-                    );
-                    obs.counter_add("dist.rank_busy_ns", busy_ns);
-                    obs.counter_add("dist.rank_comm_ns", comm_ns);
-                    obs.counter_add("dist.steal_blocks", steal.blocks);
-                    obs.counter_add("dist.steals", steal.steals);
-                    obs.counter_add("dist.block_sweeps", sweeps);
-                }
-                ((winner, floor), combos, local_list)
-            });
-            let (best, floor) = rank_results[0].0;
-            debug_assert!(rank_results.iter().all(|(v, _, _)| *v == (best, floor)));
-            frontier_state = Some(DistFrontier {
-                lists: rank_results.iter().map(|(_, _, l)| l.clone()).collect(),
-                floor,
-                complete: total_combos <= k as u64,
-            });
-            (
-                best,
-                rank_results
-                    .iter()
-                    .flat_map(|(_, c, _)| c.iter().copied())
-                    .collect(),
-            )
-        } else {
-            let parts = cfg.scheduler.partitions_obs(cfg.scheme, g, n_gpus, obs);
-            // One OS thread per rank; each executes its GPUs' λ-ranges.
-            let rank_results: Vec<(Option<Scored<4>>, Vec<u64>)> =
-                run_ranks(cfg.shape.nodes, |ctx| {
-                    let busy_start = Instant::now();
-                    // The rank's GPUs execute via the work-stealing dispatcher: a
-                    // heavy λ-partition overlaps the light ones instead of
-                    // serializing behind a fixed GPU order.
-                    let gpus = cfg.shape.gpus_of_rank(ctx.rank);
-                    let first_gpu = gpus.start;
-                    let (outs, steal) = par_map_indexed(gpus.len(), default_workers(), |i| {
-                        let p = parts[first_gpu + i];
-                        run_maxf4(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                        )
-                    });
-                    let combos: Vec<u64> = outs.iter().map(|o| o.profile.combos).collect();
-                    let sweeps: u64 = outs.iter().map(|o| o.block_sweeps).sum();
-                    let local = fold_partials(outs.into_iter().map(|o| o.best));
-                    let busy_ns = elapsed_ns(busy_start);
-                    let comm_start = Instant::now();
-                    let root = ctx.reduce_to_root(local, Scored::max_det, ser_scored, de_scored);
-                    // Rank 0 broadcasts the winner so every rank splices alike
-                    // (here we only need it back on the driver, but the exchange
-                    // exercises the real pattern).
-                    let winner_bytes = ctx.broadcast(root.as_ref().map(ser_scored));
-                    let comm_ns = elapsed_ns(comm_start);
-                    let winner = de_scored(&winner_bytes);
-                    if obs.is_enabled() {
-                        obs.point(
-                            "rank_exec",
-                            &[
-                                ("iter", iter_idx.into()),
-                                ("rank", ctx.rank.into()),
-                                ("busy_ns", busy_ns.into()),
-                                ("comm_ns", comm_ns.into()),
-                                ("combos", combos.iter().sum::<u64>().into()),
-                                ("steal_blocks", steal.blocks.into()),
-                                ("steals", steal.steals.into()),
-                                ("block_sweeps", sweeps.into()),
-                            ],
-                        );
-                        obs.counter_add("dist.rank_busy_ns", busy_ns);
-                        obs.counter_add("dist.rank_comm_ns", comm_ns);
-                        obs.counter_add("dist.steal_blocks", steal.blocks);
-                        obs.counter_add("dist.steals", steal.steals);
-                        obs.counter_add("dist.block_sweeps", sweeps);
-                    }
-                    (Some(winner), combos)
-                });
-
-            let best = rank_results[0].0.expect("root result");
-            // All ranks agreed on the winner.
-            debug_assert!(rank_results.iter().all(|(w, _)| *w == Some(best)));
-            (
-                best,
-                rank_results
-                    .iter()
-                    .flat_map(|(_, c)| c.iter().copied())
-                    .collect(),
-            )
-        };
-        if best.tp == 0 {
-            break;
-        }
-        remaining -= best.tp;
-        let cov = work_tumor.cover_mask(&best.genes);
-        let mut keep = work_tumor.full_mask();
-        for (k, c) in keep.iter_mut().zip(cov.iter()) {
-            *k &= !c;
-        }
-        work_tumor = work_tumor.splice_columns(&keep);
-        combinations.push(best.genes);
-        iterations.push(DistIteration {
-            best,
-            remaining,
-            combos_per_gpu,
-        });
-        if obs.is_enabled() {
-            obs.point(
-                "dist_iter",
-                &[
-                    ("iter", iter_idx.into()),
-                    ("iter_ns", elapsed_ns(iter_start).into()),
-                    ("newly_covered", u64::from(best.tp).into()),
-                    ("remaining", u64::from(remaining).into()),
-                    ("frontier_hit", u64::from(frontier_hit).into()),
-                ],
-            );
-            obs.counter_add("dist.iterations", 1);
-            if frontier_hit {
-                obs.counter_add("dist.frontier_hits", 1);
-            }
-        }
-    }
-
-    DistResult {
-        combinations,
-        iterations,
-        uncovered: remaining,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant functional runs
-// ---------------------------------------------------------------------------
-
-/// Recovery bookkeeping of a fault-tolerant functional run: how much λ-work
-/// was re-executed, what the protocol retried, and who died.
+/// Recovery bookkeeping of a functional run: how much λ-work was
+/// re-executed, what the protocol retried, and who died or joined. All
+/// zero/empty on a run nothing went wrong in.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
     /// Iteration attempts that had to be re-executed.
@@ -694,7 +383,7 @@ pub struct RecoveryStats {
     pub ft: FtStats,
 }
 
-/// Result of a fault-tolerant functional run.
+/// Result of a functional run together with what recovery cost.
 #[derive(Clone, Debug)]
 pub struct FtDistResult {
     /// The discovery result — bit-identical to the fault-free reference
@@ -704,15 +393,15 @@ pub struct FtDistResult {
     pub recovery: RecoveryStats,
 }
 
+/// How one rank left one attempt of one iteration.
 enum RankOutcome {
     /// Normal completion: the broadcast verdict and this rank's audit data.
     Done {
-        winner: Scored<4>,
-        /// Global K-th frontier floor from the verdict (0 outside top-K
+        /// The winner and the global K-th frontier floor (0 outside top-K
         /// kernel rounds).
-        floor: u64,
-        /// This rank's retained top-K shard (empty outside top-K kernel
-        /// rounds).
+        verdict: (Scored<4>, u64),
+        /// What this rank contributed to the reduce (on a top-K kernel
+        /// round, the shard it retains for later rescore rounds).
         list: Vec<Scored<4>>,
         combos: Vec<u64>,
         stats: FtStats,
@@ -728,10 +417,6 @@ enum RankOutcome {
         stats: FtStats,
     },
 }
-
-/// Cap on an injected straggler delay, so delayed ranks stay well inside
-/// the failure detector's retry budget (a straggler is slow, not dead).
-const STRAGGLER_DELAY_CAP: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// Membership epoch protocol: admit `joiners` (original rank ids — freshly
 /// provisioned replacements or scale-up slots) into the roster at the
@@ -892,19 +577,54 @@ fn admit_joiners(
     }
 }
 
-/// [`distributed_discover4`] hardened against rank crashes, stragglers, and
-/// lost/corrupt messages. Each iteration runs the usual kernels + reduce +
-/// broadcast over the currently-alive ranks via the fault-tolerant framed
-/// collectives ([`FtCtx`]); if any rank dies or the verdict is an abort,
+/// Run 4-hit greedy discovery functionally across simulated ranks and GPUs:
+/// [`distributed_discover4_ft`] with no fault plan and no metrics stream.
+#[must_use]
+pub fn distributed_discover4(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+) -> DistResult {
+    distributed_discover4_obs(tumor, normal, cfg, &Obs::disabled())
+}
+
+/// [`distributed_discover4`] with the metrics stream
+/// [`distributed_discover4_ft`] describes. The discovered combinations are
+/// identical to the uninstrumented run by construction.
+#[must_use]
+pub fn distributed_discover4_obs(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+    obs: &Obs,
+) -> DistResult {
+    distributed_discover4_ft(tumor, normal, cfg, None, FtParams::default(), obs).result
+}
+
+/// The functional distributed driver: 4-hit greedy discovery across
+/// simulated ranks and GPUs, tolerating rank crashes, stragglers,
+/// lost/corrupt messages and mid-run joins.
+///
+/// Each iteration, every alive rank builds its local contribution —
+/// rescoring its retained frontier shard, or executing the kernels of its
+/// node's GPUs (via [`multihit_gpusim::exec`]) — then takes part in the
+/// binomial-tree reduction of one record per rank to rank 0; rank 0
+/// broadcasts the `(winner, floor)` verdict and every rank splices covered
+/// samples: the communication structure of §III-E, over the framed
+/// collectives of [`FtCtx`]. If any rank dies or the verdict is an abort,
 /// the dead ranks are removed and the **same iteration is re-executed** with
 /// the survivors — the full λ-range is re-partitioned across the remaining
 /// GPUs by the configured scheduler, so (by associativity + commutativity
 /// of the deterministic max) the chosen combinations are bit-identical to
-/// the fault-free reference no matter who died when.
+/// the fault-free reference no matter who died when. With `faults: None`
+/// nothing dies and every iteration takes one attempt.
 ///
-/// With `faults: None` the discovered combinations equal
-/// [`distributed_discover4`]'s exactly (tested); the plain path itself is
-/// untouched.
+/// The metrics stream: scheduler timing (`sched_partition`), one
+/// `rank_exec` point per rank per attempt (kernel wall time vs.
+/// reduce+broadcast wall time; the same fields on rescore, top-K and argmax
+/// rounds), one `dist_iter` point per iteration, `membership` and `recovery`
+/// points on churn. `ft.*` and `recovery.*` counters appear only when
+/// nonzero.
 ///
 /// # Panics
 /// Panics if iterations repeatedly fail without identifying a dead rank
@@ -922,8 +642,14 @@ pub fn distributed_discover4_ft(
     if cfg.kernelize {
         let (red_t, red_n, cert) = kernelize_broadcast(tumor, normal, cfg, obs);
         if cert.kept_genes() < 4 {
+            // Every original combination contains a removed gene, so the
+            // unkernelized run stalls on iteration 1 with an empty panel.
             return FtDistResult {
-                result: stalled_dist_result(tumor),
+                result: DistResult {
+                    combinations: Vec::new(),
+                    iterations: Vec::new(),
+                    uncovered: tumor.n_samples() as u32,
+                },
                 recovery: RecoveryStats::default(),
             };
         }
@@ -935,9 +661,12 @@ pub fn distributed_discover4_ft(
         r.result = unmap_dist_result(r.result, &cert, cfg.alpha);
         return r;
     }
-    let _run_span = obs.span("distributed_discover_ft");
+    let _run_span = obs.span("distributed_discover");
     let g = tumor.n_genes() as u32;
+    let gpn = cfg.shape.gpus_per_node;
     let total_threads = cfg.scheme.thread_count(g);
+    let total_combos = binomial(u64::from(g), 4);
+    let k = cfg.frontier_k;
     let mut work_tumor = tumor.clone();
     let mut remaining = tumor.n_samples() as u32;
     let mut combinations = Vec::new();
@@ -946,21 +675,15 @@ pub fn distributed_discover4_ft(
     // Original rank ids still alive; position in this vector is the compact
     // rank id inside the current mesh.
     let mut alive: Vec<usize> = (0..cfg.shape.nodes).collect();
-    let k = cfg.frontier_k;
-    let total_combos = binomial(u64::from(g), 4);
     let mut frontier_state: Option<DistFrontier> = None;
     let mut membership_epoch: u32 = 0;
     // λ-partitions maintained incrementally across joins. `None` means
     // re-shard from scratch each attempt — the launch state, and the state
-    // after any death (the survivor-shrink path re-partitions the full
-    // range across survivors exactly as before this refactor).
+    // after any death (survivors re-partition the full range).
     let mut elastic_parts: Option<Vec<Partition>> = None;
 
-    'outer: while remaining > 0 {
+    'outer: while remaining > 0 && !alive.is_empty() {
         if cfg.max_combinations != 0 && combinations.len() >= cfg.max_combinations {
-            break;
-        }
-        if alive.is_empty() {
             break;
         }
         let iter_idx = iterations.len();
@@ -968,34 +691,36 @@ pub fn distributed_discover4_ft(
         // Elastic membership: planned joiners are admitted here, at the
         // iteration barrier, before any attempt of this iteration runs.
         if let Some(f) = faults {
-            let joiners = f.take_joins(iter_idx);
-            if !joiners.is_empty() {
-                admit_joiners(
-                    cfg,
-                    faults,
-                    params,
-                    obs,
-                    g,
-                    iter_idx,
-                    &joiners,
-                    &mut alive,
-                    &mut membership_epoch,
-                    &mut elastic_parts,
-                    &mut frontier_state,
-                    &mut recovery,
-                );
-            }
+            admit_joiners(
+                cfg,
+                faults,
+                params,
+                obs,
+                g,
+                iter_idx,
+                &f.take_joins(iter_idx),
+                &mut alive,
+                &mut membership_epoch,
+                &mut elastic_parts,
+                &mut frontier_state,
+                &mut recovery,
+            );
         }
         let mut fruitless_attempts = 0u32;
         // Attempt the cheap frontier-rescore round first whenever a frontier
-        // is live; any failed attempt invalidates it (a dead rank's shard is
-        // gone) and falls back to the full kernels.
-        let mut try_frontier = k > 0 && frontier_state.is_some();
+        // is live: if the rescored best strictly clears the build-time floor
+        // it is provably the global argmax and the kernels are skipped. A
+        // floor miss or a failed attempt falls back to the full kernels.
+        let mut try_frontier = frontier_state.is_some();
         let mut frontier_hit = false;
         let (best, combos_per_gpu) = loop {
             let n_ranks = alive.len();
-            let n_gpus = n_ranks * cfg.shape.gpus_per_node;
             let rescore_round = try_frontier;
+            // A top-K kernel round reduces the ranks' K-best shards to the
+            // global top-K (its K-th score is the floor of later rescore
+            // rounds); every other round reduces one winner per rank.
+            let topk_round = !rescore_round && k > 0;
+            let keep = if topk_round { k } else { 1 };
             let parts = if rescore_round {
                 Vec::new()
             } else if let Some(p) = &elastic_parts {
@@ -1004,209 +729,182 @@ pub fn distributed_discover4_ft(
                 // the full range (proven at admission, re-checked below).
                 p.clone()
             } else {
-                cfg.scheduler.partitions_obs(cfg.scheme, g, n_gpus, obs)
+                cfg.scheduler
+                    .partitions_obs(cfg.scheme, g, n_ranks * gpn, obs)
             };
             debug_assert!(rescore_round || validate_cover(&parts, total_threads).is_ok());
-            debug_assert!(rescore_round || parts.len() == n_gpus);
+            debug_assert!(rescore_round || parts.len() == n_ranks * gpn);
             let tumor_ref = &work_tumor;
             let alive_ref = &alive;
             let lists_ref = frontier_state.as_ref().map(|f| &f.lists);
+            // One OS thread per alive rank.
             let outcomes: Vec<RankOutcome> = run_ranks(n_ranks, |ctx| {
                 let orig = alive_ref[ctx.rank];
-                if let Some(f) = faults {
-                    if f.should_kill(orig, iter_idx) {
-                        return RankOutcome::Crashed;
-                    }
+                if faults.is_some_and(|f| f.should_kill(orig, iter_idx)) {
+                    return RankOutcome::Crashed;
                 }
                 let busy_start = Instant::now();
-                let mut local = Scored::NEG_INFINITY;
-                let mut local_list: Vec<Scored<4>> = Vec::new();
-                let mut combos = Vec::new();
-                let mut sweeps = 0u64;
-                if rescore_round {
-                    // Rescore the retained shard instead of scanning; the
-                    // kernels never run, so every GPU audits zero combos.
-                    for e in &lists_ref.expect("live frontier")[orig] {
-                        local = local.max_det(frontier::rescore_combo(
-                            tumor_ref, normal, None, &e.genes, cfg.alpha,
-                        ));
-                    }
-                    combos = vec![0u64; cfg.shape.gpus_per_node];
-                } else if k > 0 {
-                    let mut shards = Vec::new();
-                    for slot in 0..cfg.shape.gpus_per_node {
-                        let p = parts[ctx.rank * cfg.shape.gpus_per_node + slot];
-                        let (out, shard) = run_maxf4_topk(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                            k,
-                        );
-                        combos.push(out.profile.combos);
+                // The rank's contribution to the reduce, best first: the
+                // best of its rescored frontier shard (the kernels never
+                // run, so every GPU audits zero combos), or what its GPUs
+                // found over their λ-partitions — the K best on a top-K
+                // round, the argmax alone otherwise.
+                let mut combos = vec![0u64; gpn];
+                let (mut rescored, mut sweeps, mut steal) = (0u64, 0u64, StealStats::default());
+                let local: Vec<Scored<4>> = if rescore_round {
+                    let shard = &lists_ref.expect("live frontier")[orig];
+                    rescored = shard.len() as u64;
+                    vec![fold_partials(shard.iter().map(|e| {
+                        frontier::rescore_combo(tumor_ref, normal, None, &e.genes, cfg.alpha)
+                    }))]
+                } else {
+                    // The rank's GPUs execute via the work-stealing
+                    // dispatcher: a heavy λ-partition overlaps the light ones
+                    // instead of serializing behind a fixed GPU order.
+                    let (outs, stolen) = par_map_indexed(gpn, default_workers(), |slot| {
+                        let p = parts[ctx.rank * gpn + slot];
+                        if topk_round {
+                            run_maxf4_topk(
+                                tumor_ref,
+                                normal,
+                                cfg.alpha,
+                                cfg.scheme,
+                                p.lo,
+                                p.hi,
+                                cfg.block_size,
+                                k,
+                            )
+                        } else {
+                            let out = run_maxf4(
+                                tumor_ref,
+                                normal,
+                                cfg.alpha,
+                                cfg.scheme,
+                                p.lo,
+                                p.hi,
+                                cfg.block_size,
+                            );
+                            let winner = vec![out.best];
+                            (out, winner)
+                        }
+                    });
+                    steal = stolen;
+                    let mut shards = Vec::with_capacity(gpn);
+                    for (slot, (out, shard)) in outs.into_iter().enumerate() {
+                        combos[slot] = out.profile.combos;
                         sweeps += out.block_sweeps;
-                        local = local.max_det(out.best);
                         shards.push(shard);
                     }
-                    local_list = merge_top_k(&shards, k);
-                } else {
-                    for slot in 0..cfg.shape.gpus_per_node {
-                        let p = parts[ctx.rank * cfg.shape.gpus_per_node + slot];
-                        let out = run_maxf4(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                        );
-                        combos.push(out.profile.combos);
-                        sweeps += out.block_sweeps;
-                        local = local.max_det(out.best);
-                    }
-                }
+                    merge_top_k(&shards, keep)
+                };
                 let busy_ns = elapsed_ns(busy_start);
-                let combos_total: u64 = combos.iter().sum();
                 if let Some(f) = faults {
                     if let Some(factor) = f.straggler_factor(orig) {
-                        let delay = std::time::Duration::from_nanos(
-                            ((busy_ns as f64) * (factor - 1.0)) as u64,
-                        )
-                        .min(STRAGGLER_DELAY_CAP);
+                        // A straggler is slow, not dead: nobody evicts it,
+                        // however long its peers wait.
+                        let delay =
+                            Duration::from_nanos(((busy_ns as f64) * (factor - 1.0)) as u64);
                         std::thread::sleep(delay);
                         f.note_straggle(orig, iter_idx, factor, delay.as_nanos() as u64);
                     }
                 }
                 let comm_start = Instant::now();
                 let mut ft = FtCtx::new(&ctx, params, faults, iter_idx);
-                // Top-K kernel rounds reduce the rank shards (the merged
-                // head is the winner, the merged K-th the floor); every
-                // other round reduces the single 32-byte winner with a zero
-                // floor. Either way the verdict broadcast is (winner, floor).
-                let (root_verdict, red_dead, red_failed, red_parent_dead) =
-                    if !rescore_round && k > 0 {
-                        let red = ft.reduce_to_root(
-                            local_list.clone(),
-                            |a, b| merge_top_k(&[a, b], k),
-                            ser_scored_list,
-                            de_scored_list,
-                        );
-                        (
-                            red.root_value.map(|l| {
-                                let fr = Frontier::new(l, total_combos);
-                                (fr.best(), fr.floor())
-                            }),
-                            red.dead,
-                            red.failed,
-                            red.parent_dead,
-                        )
-                    } else {
-                        let red = ft.reduce_to_root(local, Scored::max_det, ser_scored, de_scored);
-                        (
-                            red.root_value.map(|w| (w, 0u64)),
-                            red.dead,
-                            red.failed,
-                            red.parent_dead,
-                        )
-                    };
-                let to_orig =
-                    |d: &BTreeSet<usize>| d.iter().map(|&c| alive_ref[c]).collect::<Vec<_>>();
-                if red_parent_dead {
-                    return RankOutcome::Aborted {
-                        dead: to_orig(&red_dead),
-                        combos,
-                        stats: ft.stats,
-                    };
-                }
-                let verdict = if ctx.rank == 0 {
-                    Some(if red_failed {
-                        BcastMsg::Abort(red_dead.iter().copied().collect())
-                    } else {
-                        BcastMsg::Value(ser_scored_floor(&root_verdict.expect("root fold")))
-                    })
+                let red = ft.reduce_to_root(
+                    local.clone(),
+                    |a, b| merge_top_k(&[a, b], keep),
+                    ser_scored_list,
+                    de_scored_list,
+                );
+                // The attempt ends on this rank with the broadcast verdict,
+                // or with the (compact ids of the) ranks it learned are gone.
+                let ended: Result<(Scored<4>, u64), BTreeSet<usize>> = if red.parent_dead {
+                    Err(red.dead)
                 } else {
-                    None
-                };
-                let outcome = match ft.broadcast(verdict) {
-                    Ok((BcastMsg::Value(v), suspects)) if suspects.is_empty() => {
-                        let (winner, floor) = de_scored_floor(&v);
-                        RankOutcome::Done {
-                            winner,
-                            floor,
-                            list: local_list,
-                            combos,
-                            stats: ft.stats,
+                    // Rank 0 turns the reduced list into the verdict every
+                    // rank splices on: the head is the winner, and on a top-K
+                    // round the K-th score is the floor.
+                    let verdict = (ctx.rank == 0).then(|| match red.root_value {
+                        Some(list) => {
+                            let fr = Frontier::new(list, total_combos);
+                            let floor = if topk_round { fr.floor() } else { 0 };
+                            BcastMsg::Value(ser_scored_floor(&(fr.best(), floor)))
                         }
-                    }
-                    Ok((BcastMsg::Value(_), suspects)) => RankOutcome::Aborted {
-                        dead: to_orig(&suspects),
-                        combos,
-                        stats: ft.stats,
-                    },
-                    Ok((BcastMsg::Abort(dead), suspects)) => {
-                        let mut all: BTreeSet<usize> = dead.iter().copied().collect();
-                        all.extend(suspects.iter().copied());
-                        RankOutcome::Aborted {
-                            dead: to_orig(&all),
-                            combos,
-                            stats: ft.stats,
+                        None => BcastMsg::Abort(red.dead.iter().copied().collect()),
+                    });
+                    match ft.broadcast(verdict) {
+                        Ok((BcastMsg::Value(v), suspects)) if suspects.is_empty() => {
+                            Ok(de_scored_floor(&v))
                         }
+                        Ok((BcastMsg::Value(_), suspects)) => Err(suspects),
+                        Ok((BcastMsg::Abort(dead), suspects)) => {
+                            Err(dead.into_iter().chain(suspects).collect())
+                        }
+                        // A membership announcement where a verdict was
+                        // expected is a protocol violation (epochs only
+                        // change at the iteration barrier): abort the attempt.
+                        Ok((BcastMsg::Join { .. }, _)) | Err(_) => Err(red.dead),
                     }
-                    // A membership announcement where a verdict was expected
-                    // is a protocol violation (epochs only change at the
-                    // iteration barrier): abort the attempt.
-                    Ok((BcastMsg::Join { .. }, _)) | Err(_) => RankOutcome::Aborted {
-                        dead: to_orig(&red_dead),
-                        combos,
-                        stats: ft.stats,
-                    },
                 };
                 if obs.is_enabled() {
+                    let comm_ns = elapsed_ns(comm_start);
                     obs.point(
                         "rank_exec",
                         &[
                             ("iter", iter_idx.into()),
                             ("rank", orig.into()),
                             ("busy_ns", busy_ns.into()),
-                            ("comm_ns", elapsed_ns(comm_start).into()),
-                            ("combos", combos_total.into()),
+                            ("comm_ns", comm_ns.into()),
+                            ("combos", combos.iter().sum::<u64>().into()),
+                            ("rescored", rescored.into()),
+                            ("steal_blocks", steal.blocks.into()),
+                            ("steals", steal.steals.into()),
                             ("block_sweeps", sweeps.into()),
                         ],
                     );
                     obs.counter_add("dist.rank_busy_ns", busy_ns);
+                    obs.counter_add("dist.rank_comm_ns", comm_ns);
+                    obs.counter_add("dist.steal_blocks", steal.blocks);
+                    obs.counter_add("dist.steals", steal.steals);
                     obs.counter_add("dist.block_sweeps", sweeps);
                 }
-                outcome
+                match ended {
+                    Ok(verdict) => RankOutcome::Done {
+                        verdict,
+                        list: local,
+                        combos,
+                        stats: ft.stats,
+                    },
+                    Err(dead) => RankOutcome::Aborted {
+                        dead: dead.iter().map(|&c| alive_ref[c]).collect(),
+                        combos,
+                        stats: ft.stats,
+                    },
+                }
             });
 
             let mut dead: BTreeSet<usize> = BTreeSet::new();
             let mut all_done = true;
-            let mut winner: Option<(Scored<4>, u64)> = None;
+            let mut agreed: Option<(Scored<4>, u64)> = None;
             let mut attempt_combos: Vec<u64> = Vec::new();
             // Sized by the highest original id in the roster: joins can push
             // ids past the launch size (scale-up slots).
             let roster_cap = alive.iter().copied().max().map_or(0, |m| m + 1);
             let mut rank_lists: Vec<Vec<Scored<4>>> = vec![Vec::new(); roster_cap];
-            for (i, out) in outcomes.iter().enumerate() {
+            for (i, out) in outcomes.into_iter().enumerate() {
                 match out {
                     RankOutcome::Done {
-                        winner: w,
-                        floor,
+                        verdict,
                         list,
                         combos,
                         stats,
                     } => {
-                        if i == 0 {
-                            winner = Some((*w, *floor));
-                        }
-                        debug_assert!(winner.is_none_or(|(ww, ff)| ww == *w && ff == *floor));
-                        rank_lists[alive[i]] = list.clone();
-                        attempt_combos.extend_from_slice(combos);
-                        recovery.ft.merge(stats);
+                        // All ranks agreed on the verdict.
+                        debug_assert!(agreed.is_none_or(|v| v == verdict));
+                        agreed.get_or_insert(verdict);
+                        rank_lists[alive[i]] = list;
+                        attempt_combos.extend(combos);
+                        recovery.ft.merge(&stats);
                     }
                     RankOutcome::Crashed => {
                         all_done = false;
@@ -1218,38 +916,34 @@ pub fn distributed_discover4_ft(
                         stats,
                     } => {
                         all_done = false;
-                        dead.extend(d.iter().copied());
-                        attempt_combos.extend_from_slice(combos);
-                        recovery.ft.merge(stats);
+                        dead.extend(d);
+                        attempt_combos.extend(combos);
+                        recovery.ft.merge(&stats);
                     }
                 }
             }
 
-            // `winner` can only be `None` here if rank 0's outcome went
-            // missing entirely; degrade to the failed-attempt path below
-            // instead of panicking the aggregation.
             if all_done {
-                if let Some((w, floor)) = winner {
-                    if rescore_round {
-                        let fr = frontier_state.as_ref().expect("live frontier");
-                        if fr.complete || w.score > fr.floor {
-                            frontier_hit = true;
-                            break (w, attempt_combos);
-                        }
-                        // Floor miss: discard the (cheap) rescore round and
-                        // fall through to a full kernel attempt.
-                        try_frontier = false;
-                        continue;
+                let (w, floor) = agreed.expect("a mesh has at least one rank");
+                if rescore_round {
+                    let fr = frontier_state.as_ref().expect("live frontier");
+                    if fr.complete || w.score > fr.floor {
+                        frontier_hit = true;
+                        break (w, attempt_combos);
                     }
-                    if k > 0 {
-                        frontier_state = Some(DistFrontier {
-                            lists: rank_lists,
-                            floor,
-                            complete: total_combos <= k as u64,
-                        });
-                    }
-                    break (w, attempt_combos);
+                    // Floor miss: discard the (cheap) rescore round and
+                    // fall through to a full kernel attempt.
+                    try_frontier = false;
+                    continue;
                 }
+                if topk_round {
+                    frontier_state = Some(DistFrontier {
+                        lists: rank_lists,
+                        floor,
+                        complete: total_combos <= k as u64,
+                    });
+                }
+                break (w, attempt_combos);
             }
 
             // Failed attempt: discard its work, drop the dead, re-execute.
@@ -1329,8 +1023,8 @@ pub fn distributed_discover4_ft(
     }
 
     if obs.is_enabled() {
-        // Nonzero-only so fault-free runs keep a byte-identical counter
-        // registry to the plain driver's.
+        // Nonzero-only: a run in which nothing was retried shows no trace of
+        // the protocol in its counter registry.
         let ft = &recovery.ft;
         for (name, v) in [
             ("ft.retrans_requests", ft.retrans_requests),
@@ -1899,32 +1593,56 @@ mod tests {
     }
 
     #[test]
-    fn ft_driver_without_faults_matches_plain_driver() {
+    fn fault_free_ft_run_matches_single_process_reference() {
+        // 3 ranks x 2 GPUs with no fault plan, exhaustive argmax rounds
+        // (frontier off) and lazy-greedy rounds (frontier on): the panel,
+        // the per-iteration winners and the cover are the single-process
+        // ones, nothing is re-executed, nobody is evicted.
         let (t, n) = lcg_matrices(11, 90, 60, 13);
-        let cfg = DistributedConfig {
-            shape: ClusterShape {
-                nodes: 3,
-                gpus_per_node: 2,
-            },
-            max_combinations: 3,
-            ..DistributedConfig::default()
-        };
-        let plain = distributed_discover4(&t, &n, &cfg);
-        let ft = distributed_discover4_ft(
+        let total = binomial(11, 4);
+        let reference = discover::<4>(
             &t,
             &n,
-            &cfg,
-            None,
-            crate::fault::FtParams::fast_test(),
-            &Obs::disabled(),
+            &GreedyConfig {
+                parallel: false,
+                max_combinations: 3,
+                ..GreedyConfig::default()
+            },
         );
-        assert_eq!(ft.result.combinations, plain.combinations);
-        assert_eq!(ft.result.uncovered, plain.uncovered);
-        assert_eq!(ft.recovery.re_executed_iterations, 0);
-        assert_eq!(ft.recovery.dead_ranks, Vec::<usize>::new());
-        for (a, b) in ft.result.iterations.iter().zip(&plain.iterations) {
-            assert_eq!(a.best, b.best);
-            assert_eq!(a.combos_per_gpu, b.combos_per_gpu);
+        for frontier_k in [0, frontier::DEFAULT_FRONTIER_K] {
+            let cfg = DistributedConfig {
+                shape: ClusterShape {
+                    nodes: 3,
+                    gpus_per_node: 2,
+                },
+                max_combinations: 3,
+                frontier_k,
+                ..DistributedConfig::default()
+            };
+            let ft = distributed_discover4_ft(
+                &t,
+                &n,
+                &cfg,
+                None,
+                crate::fault::FtParams::fast_test(),
+                &Obs::disabled(),
+            );
+            assert_eq!(ft.result.combinations, reference.combinations);
+            assert_eq!(ft.result.uncovered, reference.uncovered);
+            assert_eq!(ft.recovery.re_executed_iterations, 0);
+            assert_eq!(ft.recovery.dead_ranks, Vec::<usize>::new());
+            assert_eq!(ft.result.iterations.len(), reference.iterations.len());
+            for (a, b) in ft.result.iterations.iter().zip(&reference.iterations) {
+                assert_eq!(a.best, b.best, "frontier_k {frontier_k}");
+                // One audit slot per GPU; an argmax round scans the whole
+                // enumeration, a lazy round all of it or (a hit) none of it.
+                assert_eq!(a.combos_per_gpu.len(), 6);
+                let sum: u64 = a.combos_per_gpu.iter().sum();
+                assert!(
+                    sum == total || (frontier_k > 0 && sum == 0),
+                    "frontier_k {frontier_k}: audited {sum}"
+                );
+            }
         }
     }
 
@@ -2007,34 +1725,6 @@ mod tests {
         for (i, it) in lazy.iterations.iter().enumerate() {
             let sum: u64 = it.combos_per_gpu.iter().sum();
             assert_eq!(sum, if i == 0 { total } else { 0 }, "iteration {i}");
-        }
-    }
-
-    #[test]
-    fn ft_frontier_driver_matches_plain_frontier_driver() {
-        let (t, n) = lcg_matrices(11, 90, 60, 13);
-        let cfg = DistributedConfig {
-            shape: ClusterShape {
-                nodes: 3,
-                gpus_per_node: 2,
-            },
-            ..DistributedConfig::default()
-        };
-        assert!(cfg.frontier_k > 0);
-        let plain = distributed_discover4(&t, &n, &cfg);
-        let ft = distributed_discover4_ft(
-            &t,
-            &n,
-            &cfg,
-            None,
-            crate::fault::FtParams::fast_test(),
-            &Obs::disabled(),
-        );
-        assert_eq!(ft.result.combinations, plain.combinations);
-        // Hit/miss decisions are deterministic, so the per-GPU audits agree
-        // exactly — including the all-zero rows of frontier-hit iterations.
-        for (a, b) in ft.result.iterations.iter().zip(&plain.iterations) {
-            assert_eq!(a.combos_per_gpu, b.combos_per_gpu);
         }
     }
 

@@ -11,8 +11,8 @@
 //! Faults are injected, never fabricated: a dropped message is really never
 //! enqueued, a corrupted payload really has a bit flipped, a killed rank's
 //! thread really returns without participating. Detection and recovery
-//! (timeouts, retransmits, survivor re-partitioning, checkpoint fallback)
-//! live in [`crate::comm`], [`crate::driver`], and [`crate::checkpoint`];
+//! (closed-channel probes, retransmits, survivor re-partitioning, checkpoint
+//! fallback) live in [`crate::comm`], [`crate::driver`], and [`crate::checkpoint`];
 //! their correctness bar is that any injected run which completes produces
 //! **bit-identical chosen combinations** to the fault-free reference.
 
@@ -32,8 +32,8 @@ pub enum FaultSpec {
         /// Iteration index at which the rank dies.
         iter: usize,
     },
-    /// Rank `rank` runs `factor`× slower than its peers (its GPU work is
-    /// delayed, bounded so tests stay fast; results are unaffected).
+    /// Rank `rank` runs `factor`× slower than its peers (it sleeps
+    /// `factor − 1` times its measured kernel time; results are unaffected).
     Straggler {
         /// Original rank id.
         rank: usize,
@@ -199,43 +199,51 @@ impl FaultPlan {
     }
 }
 
-/// Tuning of the failure detector: per-wait timeout, bounded retries, and
-/// exponential backoff. Defaults suit CI; tests shrink them.
+/// Pacing of the fault-tolerant collectives: how long a rank waits on a
+/// silent peer before probing it again (a retransmit request or a resend,
+/// which recovers a lost frame and finds a closed channel). It bounds how
+/// fast a death or a lost frame is noticed, never *whether* a slow peer is
+/// waited for. Defaults suit CI; tests shrink them.
 #[derive(Clone, Copy, Debug)]
 pub struct FtParams {
-    /// Base wait before a retransmit request / resend.
+    /// Probe interval: the wait before the first probe of a silent peer.
     pub timeout: Duration,
-    /// Retries before a silent peer is declared dead.
-    pub retries: u32,
-    /// Timeout multiplier per retry (≥ 1.0).
+    /// Interval multiplier per consecutive probe (≥ 1.0).
     pub backoff: f64,
 }
+
+/// Probes after which the probe interval stops growing.
+const BACKOFF_STEPS: u32 = 3;
 
 impl Default for FtParams {
     fn default() -> Self {
         FtParams {
             timeout: Duration::from_millis(100),
-            retries: 3,
             backoff: 1.5,
         }
     }
 }
 
 impl FtParams {
-    /// Fast settings for unit tests (sub-second failure detection).
+    /// Fast settings for unit tests (a kill is noticed within 25 ms).
     #[must_use]
     pub fn fast_test() -> Self {
         FtParams {
             timeout: Duration::from_millis(25),
-            retries: 2,
             backoff: 1.5,
         }
     }
 
-    /// Timeout of the `attempt`-th wait (0-based), with backoff applied.
+    /// Length of the `attempt`-th wait (0-based), with backoff applied.
+    /// The interval stops growing after `BACKOFF_STEPS` probes: a slow peer
+    /// is waited for indefinitely, and a frame lost late in a long wait
+    /// must still be re-requested promptly.
     #[must_use]
     pub fn attempt_timeout(&self, attempt: u32) -> Duration {
-        let scale = self.backoff.max(1.0).powi(attempt as i32);
+        let scale = self
+            .backoff
+            .max(1.0)
+            .powi(attempt.min(BACKOFF_STEPS) as i32);
         self.timeout.mul_f64(scale)
     }
 }
@@ -690,5 +698,10 @@ mod tests {
         let p = FtParams::default();
         assert!(p.attempt_timeout(2) > p.attempt_timeout(0));
         assert_eq!(FtParams::fast_test().attempt_timeout(0).as_millis(), 25);
+        // Unbounded waits must not grow (or overflow) the probe interval.
+        assert_eq!(
+            p.attempt_timeout(u32::MAX),
+            p.attempt_timeout(BACKOFF_STEPS)
+        );
     }
 }

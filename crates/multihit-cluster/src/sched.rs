@@ -248,7 +248,7 @@ pub fn partition_areas(levels: &[Level], parts: &[Partition]) -> Vec<u64> {
 }
 
 /// Check that `parts` exactly tile `[0, total)`: starts at 0, ends at
-/// `total`, no gaps, no overlaps. The fault-tolerant driver asserts this on
+/// `total`, no gaps, no overlaps. The functional driver asserts this on
 /// every re-partitioning — losing λ-range on recovery would silently change
 /// the discovered combinations.
 ///

@@ -1,14 +1,16 @@
-//! End-to-end fault-injection tests for the fault-tolerant distributed
-//! driver: every recoverable fault class must leave the discovered
-//! combinations bit-identical to the single-process reference, and the
-//! zero-fault path must be indistinguishable from the plain driver.
+//! End-to-end fault-injection tests for the distributed driver: every
+//! recoverable fault class must leave the discovered combinations
+//! bit-identical to the single-process reference, a healthy rank is never
+//! evicted for being slow, and a zero-fault run shows no trace of the
+//! recovery machinery in its metrics stream.
 
-use multihit_cluster::driver::{distributed_discover4_ft, DistributedConfig};
+use multihit_cluster::driver::{distributed_discover4_ft, DistributedConfig, SchedulerKind};
 use multihit_cluster::fault::{FaultPlan, FaultState, FtParams};
 use multihit_cluster::topology::ClusterShape;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::greedy::{discover, GreedyConfig};
 use multihit_core::obs::Obs;
+use std::time::Duration;
 
 fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
     let mut state = seed | 1;
@@ -174,62 +176,145 @@ fn wire_faults_are_healed_by_retransmission() {
     assert!(ft.recovery.ft.crc_failures >= 1, "{:?}", ft.recovery.ft);
 }
 
-/// A straggling rank slows the run down but changes nothing about the
-/// result, and nobody is declared dead as long as it answers within the
-/// retry budget.
-#[test]
-fn stragglers_are_tolerated_without_eviction() {
-    let (t, n) = lcg_matrices(11, 90, 60, 13);
-    let cfg = four_rank_config();
-    let expect = reference(&t, &n, cfg.max_combinations);
-    let plan = FaultPlan::parse("straggler=2@8.0", 7).unwrap();
-    let faults = FaultState::new(plan, &Obs::disabled());
-    let ft = distributed_discover4_ft(
-        &t,
-        &n,
-        &cfg,
-        Some(&faults),
-        FtParams::fast_test(),
-        &Obs::disabled(),
-    );
-    assert_eq!(ft.result.combinations, expect);
-    assert_eq!(ft.recovery.dead_ranks, Vec::<usize>::new());
+/// The 60-gene, 2 ranks x 1 GPU, equi-distance shape the eviction cases
+/// share: ED leaves the two ranks' workloads far apart (the imbalance of the
+/// paper's Figs 2 and 8), so one rank waits on the other for many probe
+/// intervals.
+fn imbalanced_two_rank_case() -> (BitMatrix, BitMatrix, DistributedConfig) {
+    let (t, n) = lcg_matrices(60, 90, 60, 13);
+    let cfg = DistributedConfig {
+        shape: ClusterShape {
+            nodes: 2,
+            gpus_per_node: 1,
+        },
+        scheduler: SchedulerKind::EquiDistance,
+        max_combinations: 2,
+        ..DistributedConfig::default()
+    };
+    (t, n, cfg)
 }
 
-/// Zero-fault acceptance: with no plan the FT driver's observability stream
-/// has exactly the plain driver's event shape — no fault or recovery points,
-/// no FT counters — and the same combinations.
+/// A 1 ms probe interval that never grows: any wait on an imbalanced peer
+/// spans many probes.
+const IMPATIENT: FtParams = FtParams {
+    timeout: Duration::from_millis(1),
+    backoff: 1.0,
+};
+
+/// Regression: elapsed time is not evidence of death. With no fault plan a
+/// healthy rank that merely finishes much later than its peer must not be
+/// evicted (and its iteration re-executed), whatever the probe interval.
 #[test]
-fn zero_fault_ft_run_is_indistinguishable_from_plain() {
+fn slow_healthy_ranks_are_never_evicted() {
+    let (t, n, cfg) = imbalanced_two_rank_case();
+    let ft = distributed_discover4_ft(&t, &n, &cfg, None, IMPATIENT, &Obs::disabled());
+    assert_eq!(ft.recovery.dead_ranks, Vec::<usize>::new());
+    assert_eq!(ft.recovery.re_executed_iterations, 0);
+    assert_eq!(
+        ft.result.combinations,
+        reference(&t, &n, cfg.max_combinations)
+    );
+    assert!(
+        ft.recovery.ft.timeouts > 0,
+        "the case should outwait the probe interval"
+    );
+}
+
+/// A straggling rank slows the run down but changes nothing about the
+/// result, and nobody is declared dead however long it takes to answer:
+/// the second input's delay (over 10 ms, asserted) is many times its 1 ms
+/// probe interval.
+#[test]
+fn stragglers_are_tolerated_without_eviction() {
+    let (t11, n11) = lcg_matrices(11, 90, 60, 13);
+    let (t60, n60, cfg60) = imbalanced_two_rank_case();
+    for (t, n, cfg, spec, params, min_delay_ns) in [
+        (
+            &t11,
+            &n11,
+            four_rank_config(),
+            "straggler=2@8.0",
+            FtParams::fast_test(),
+            0,
+        ),
+        (&t60, &n60, cfg60, "straggler=1@12.0", IMPATIENT, 10_000_000),
+    ] {
+        let expect = reference(t, n, cfg.max_combinations);
+        let obs = Obs::enabled();
+        let faults = FaultState::new(FaultPlan::parse(spec, 7).unwrap(), &obs);
+        let ft = distributed_discover4_ft(t, n, &cfg, Some(&faults), params, &obs);
+        assert_eq!(ft.result.combinations, expect, "{spec}");
+        assert_eq!(ft.recovery.dead_ranks, Vec::<usize>::new(), "{spec}");
+        assert_eq!(ft.recovery.re_executed_iterations, 0, "{spec}");
+        let longest = obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "fault")
+            .filter_map(|e| e.u64("delay_ns"))
+            .max();
+        assert!(longest > Some(min_delay_ns), "{spec}: delayed {longest:?}");
+    }
+}
+
+/// Zero-fault acceptance: with no plan the metrics stream has exactly the
+/// fault-free event shape — per iteration an optional rescore round (one
+/// `rank_exec` per rank), an optional kernel round (`sched_partition`, then
+/// one `rank_exec` per rank) and the `dist_iter` record, the run span last
+/// — every `rank_exec` carries the same fields, and there are no fault or
+/// recovery points and no FT counters.
+#[test]
+fn zero_fault_run_has_the_fault_free_event_shape() {
     let (t, n) = lcg_matrices(11, 90, 60, 13);
     let cfg = four_rank_config();
+    let obs = Obs::enabled();
+    let ft = distributed_discover4_ft(&t, &n, &cfg, None, FtParams::default(), &obs);
+    assert_eq!(
+        ft.result.combinations,
+        reference(&t, &n, cfg.max_combinations)
+    );
 
-    let plain_obs = Obs::enabled();
-    let plain = multihit_cluster::driver::distributed_discover4_obs(&t, &n, &cfg, &plain_obs);
-    let ft_obs = Obs::enabled();
-    let ft = distributed_discover4_ft(&t, &n, &cfg, None, FtParams::fast_test(), &ft_obs);
+    let events = obs.events();
+    let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    let ranks = vec!["rank_exec"; cfg.shape.nodes];
+    let mut rest = names.as_slice();
+    for iter in 0..ft.result.iterations.len() {
+        // Iteration 0 has no frontier to rescore; every later one tries it.
+        if iter > 0 {
+            assert_eq!(rest[..ranks.len()], ranks[..], "rescore round of {iter}");
+            rest = &rest[ranks.len()..];
+        }
+        if rest[0] == "sched_partition" {
+            assert_eq!(rest[1..=ranks.len()], ranks[..], "kernel round of {iter}");
+            rest = &rest[1 + ranks.len()..];
+        } else {
+            assert!(iter > 0, "iteration 0 must run the kernels");
+        }
+        assert_eq!(rest[0], "dist_iter", "record of {iter}");
+        rest = &rest[1..];
+    }
+    assert_eq!(rest, ["distributed_discover"]);
 
-    assert_eq!(ft.result.combinations, plain.combinations);
-    assert_eq!(ft.result.uncovered, plain.uncovered);
-
-    // Same event-name sequence (field values carry wall times and differ).
-    let names = |o: &Obs| -> Vec<String> { o.events().iter().map(|e| e.name.clone()).collect() };
-    let plain_names = names(&plain_obs);
-    let ft_names: Vec<String> = names(&ft_obs)
-        .into_iter()
-        .filter(|n| n != "distributed_discover_ft")
-        .collect();
-    let plain_names: Vec<String> = plain_names
-        .into_iter()
-        .filter(|n| n != "distributed_discover")
-        .collect();
-    assert_eq!(ft_names, plain_names);
-    assert!(!ft_names.iter().any(|n| n == "fault" || n == "recovery"));
-    assert!(ft_obs.counters().keys().all(|k| !k.starts_with("ft.")));
-    assert!(ft_obs
-        .counters()
+    for e in events.iter().filter(|e| e.name == "rank_exec") {
+        for field in [
+            "iter",
+            "rank",
+            "busy_ns",
+            "comm_ns",
+            "combos",
+            "rescored",
+            "steal_blocks",
+            "steals",
+            "block_sweeps",
+        ] {
+            assert!(e.u64(field).is_some(), "rank_exec without {field}: {e:?}");
+        }
+    }
+    let counters = obs.counters();
+    assert!(counters.contains_key("dist.rank_comm_ns"));
+    assert!(counters.contains_key("dist.steal_blocks"));
+    assert!(counters
         .keys()
-        .all(|k| !k.starts_with("recovery.")));
+        .all(|k| !k.starts_with("ft.") && !k.starts_with("recovery.")));
 }
 
 /// The elastic smoke matrix: kill rank R at iteration I, admit a
@@ -394,7 +479,6 @@ fn joins_compose_with_kills_stragglers_and_drops() {
 /// configured with).
 #[test]
 fn recovery_works_under_equi_distance_scheduling() {
-    use multihit_cluster::driver::SchedulerKind;
     let (t, n) = lcg_matrices(11, 90, 60, 13);
     let cfg = DistributedConfig {
         scheduler: SchedulerKind::EquiDistance,

@@ -41,7 +41,10 @@
 //! fault-injection demo: real rank threads on a synthetic cohort under a
 //! deterministic fault plan (e.g. `--inject rank-kill=1@2`), verified
 //! bit-identical against the fault-free reference, with the recovery bill
-//! (re-executed λ-work, retransmits, checkpoint fallbacks) printed. Plans
+//! (re-executed λ-work, retransmits, checkpoint fallbacks) printed.
+//! `--ft-timeout-ms` is the probe interval: how long a rank waits on a silent
+//! peer before probing it again. It paces retransmission and how fast a kill
+//! is noticed; it never evicts a peer for being slow. Plans
 //! may also grow the roster mid-run: `rank-join=R-K` admits rank `R` at the
 //! iteration-`K` barrier through the elastic membership protocol (boundary
 //! slab moves + frontier shard transfer instead of a full re-shard).
@@ -519,7 +522,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cluster --inject`: run the fault-tolerant driver for real (rank threads
+/// `cluster --inject`: run the functional driver for real (rank threads
 /// on a synthetic cohort) under a deterministic fault plan, route the
 /// checkpoints through the durable store so `ckpt-*` injections bite, and
 /// print the recovery bill. Fails unless the surviving ranks reproduce the
@@ -533,7 +536,7 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     use multihit::cluster::topology::ClusterShape;
 
     let seed: u64 = parse_or(args, "--seed", 2021u64)?;
-    let timeout_ms: u64 = parse_or(args, "--ft-timeout-ms", 50u64)?;
+    let probe_ms: u64 = parse_or(args, "--ft-timeout-ms", 50u64)?;
     let plan = FaultPlan::parse(specs, seed)?;
     let cohort = generate(&CohortSpec {
         n_genes: 18,
@@ -571,7 +574,7 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     let reference = distributed_discover4(&cohort.tumor, &cohort.normal, &cfg);
     let faults = FaultState::new(plan, obs);
     let params = FtParams {
-        timeout: std::time::Duration::from_millis(timeout_ms),
+        timeout: std::time::Duration::from_millis(probe_ms),
         ..FtParams::default()
     };
     let ft = distributed_discover4_ft(
@@ -863,6 +866,8 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
            SPECS: rank-kill=R@K | rank-join=R-K | straggler=R@F
                   | msg-drop=F-T[@N] | msg-corrupt=F-T[@N]
                   | ckpt-truncate=K | ckpt-bitflip=K
+           --ft-timeout-ms is the probe interval for silent peers (default
+           50); a slow rank is waited for, only a dead one is dropped
   serve    (--results DIR | --synth) [--addr HOST:PORT --shards S
            --batch-max B --queue-cap Q --cache-cap C --fill-window-ns W
            --admit-rps R --admit-burst-secs B --reactors N
