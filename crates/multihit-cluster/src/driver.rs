@@ -1,8 +1,9 @@
 //! The distributed greedy driver, in two halves:
 //!
-//! * [`distributed_discover4_ft`] — **functional**: real rank threads, real
-//!   simulated-GPU kernel execution, real binomial-tree reduction of one
-//!   record per rank, BitSplicing between iterations. There is one driver:
+//! * [`distributed_discover4_ft`] — **functional**: real rank threads, each
+//!   GPU's λ-slab really scored (by the core engine, bound-pruned — see
+//!   [`scan_slab4`]), real binomial-tree reduction of one record per rank,
+//!   BitSplicing between iterations. There is one driver:
 //!   a per-rank state machine (iteration barrier → admit joiners → rescore
 //!   *or* kernel round → reduce → verdict broadcast → splice → record) over
 //!   the fault-tolerant collectives of [`FtCtx`], and a fault-free run
@@ -22,6 +23,7 @@ use crate::topology::ClusterShape;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::combin::binomial;
 use multihit_core::frontier::{self, Frontier};
+use multihit_core::greedy::{scan_slab4, ScanStats};
 use multihit_core::kernelize::{kernelize, ReductionCert};
 use multihit_core::obs::Obs;
 use multihit_core::par::{default_workers, par_map_indexed, StealStats};
@@ -31,7 +33,6 @@ use multihit_core::sweep::levels_scheme4;
 use multihit_core::weight::{Alpha, Scored};
 use multihit_gpusim::counters::{apply_jitter, record_run_metrics, run_metrics};
 use multihit_gpusim::device::NodeSpec;
-use multihit_gpusim::exec::{run_maxf4, run_maxf4_topk};
 use multihit_gpusim::profile::{kernel_levels4, prefetch_depth4, profile_partitions};
 use multihit_gpusim::{CostModel, GpuCost};
 use std::collections::BTreeSet;
@@ -143,7 +144,11 @@ pub struct DistributedConfig {
     pub scheduler: SchedulerKind,
     /// TP weight α.
     pub alpha: Alpha,
-    /// CUDA block size for the block reduction.
+    /// CUDA block size of the audited exhaustive kernel
+    /// ([`multihit_gpusim::exec::run_maxf4`]) that probes and benches run
+    /// over this configuration's slabs. The functional driver does not
+    /// read it: its ranks score through [`scan_slab4`], which has no block
+    /// reduction.
     pub block_size: usize,
     /// Cap on discovered combinations (0 = run to full cover).
     pub max_combinations: usize,
@@ -606,8 +611,10 @@ pub fn distributed_discover4_obs(
 /// lost/corrupt messages and mid-run joins.
 ///
 /// Each iteration, every alive rank builds its local contribution —
-/// rescoring its retained frontier shard, or executing the kernels of its
-/// node's GPUs (via [`multihit_gpusim::exec`]) — then takes part in the
+/// rescoring its retained frontier shard, or scoring the λ-slab of each of
+/// its node's GPUs with the pruned core scanner ([`scan_slab4`]; the slab
+/// areas, and so the `combos_per_gpu` audit, are the scheduler's to the
+/// combination) — then takes part in the
 /// binomial-tree reduction of one record per rank to rank 0; rank 0
 /// broadcasts the `(winner, floor)` verdict and every rank splices covered
 /// samples: the communication structure of §III-E, over the framed
@@ -621,8 +628,9 @@ pub fn distributed_discover4_obs(
 ///
 /// The metrics stream: scheduler timing (`sched_partition`), one
 /// `rank_exec` point per rank per attempt (kernel wall time vs.
-/// reduce+broadcast wall time; the same fields on rescore, top-K and argmax
-/// rounds), one `dist_iter` point per iteration, `membership` and `recovery`
+/// reduce+broadcast wall time, combinations scored vs. cut by the bound; the
+/// same fields on rescore, top-K and argmax rounds), one `dist_iter` point
+/// per iteration, `membership` and `recovery`
 /// points on churn. `ft.*` and `recovery.*` counters appear only when
 /// nonzero.
 ///
@@ -750,7 +758,8 @@ pub fn distributed_discover4_ft(
                 // found over their λ-partitions — the K best on a top-K
                 // round, the argmax alone otherwise.
                 let mut combos = vec![0u64; gpn];
-                let (mut rescored, mut sweeps, mut steal) = (0u64, 0u64, StealStats::default());
+                let (mut rescored, mut scan, mut steal) =
+                    (0u64, ScanStats::default(), StealStats::default());
                 let local: Vec<Scored<4>> = if rescore_round {
                     let shard = &lists_ref.expect("live frontier")[orig];
                     rescored = shard.len() as u64;
@@ -758,44 +767,31 @@ pub fn distributed_discover4_ft(
                         frontier::rescore_combo(tumor_ref, normal, None, &e.genes, cfg.alpha)
                     }))]
                 } else {
-                    // The rank's GPUs execute via the work-stealing
-                    // dispatcher: a heavy λ-partition overlaps the light ones
-                    // instead of serializing behind a fixed GPU order.
+                    // Each GPU's slab goes through the core scanner, pruning
+                    // on its own incumbent (the K best on a top-K round). The
+                    // work-stealing dispatcher overlaps a heavy slab with the
+                    // light ones instead of serializing a fixed GPU order.
                     let (outs, stolen) = par_map_indexed(gpn, default_workers(), |slot| {
                         let p = parts[ctx.rank * gpn + slot];
-                        if topk_round {
-                            run_maxf4_topk(
-                                tumor_ref,
-                                normal,
-                                cfg.alpha,
-                                cfg.scheme,
-                                p.lo,
-                                p.hi,
-                                cfg.block_size,
-                                k,
-                            )
-                        } else {
-                            let out = run_maxf4(
-                                tumor_ref,
-                                normal,
-                                cfg.alpha,
-                                cfg.scheme,
-                                p.lo,
-                                p.hi,
-                                cfg.block_size,
-                            );
-                            let winner = vec![out.best];
-                            (out, winner)
-                        }
+                        scan_slab4(tumor_ref, normal, cfg.alpha, cfg.scheme, p.lo, p.hi, keep)
                     });
                     steal = stolen;
                     let mut shards = Vec::with_capacity(gpn);
-                    for (slot, (out, shard)) in outs.into_iter().enumerate() {
-                        combos[slot] = out.profile.combos;
-                        sweeps += out.block_sweeps;
+                    for (slot, (shard, stats)) in outs.into_iter().enumerate() {
+                        // Scored or cut, every combination of the slab is
+                        // accounted for: the audit is the scheduler's area.
+                        combos[slot] = stats.scored + stats.pruned_combos;
+                        scan.merge(&stats);
                         shards.push(shard);
                     }
-                    merge_top_k(&shards, keep)
+                    let mut best = merge_top_k(&shards, keep);
+                    // A rank whose slabs hold no combination (more GPUs than
+                    // threads) still reduces a record on an argmax round; a
+                    // top-K shard just stays empty.
+                    if best.is_empty() && !topk_round {
+                        best.push(Scored::NEG_INFINITY);
+                    }
+                    best
                 };
                 let busy_ns = elapsed_ns(busy_start);
                 if let Some(f) = faults {
@@ -856,17 +852,22 @@ pub fn distributed_discover4_ft(
                             ("busy_ns", busy_ns.into()),
                             ("comm_ns", comm_ns.into()),
                             ("combos", combos.iter().sum::<u64>().into()),
+                            ("scored", scan.scored.into()),
+                            ("pruned_combos", scan.pruned_combos.into()),
+                            ("pruned_subtrees", scan.pruned_subtrees.into()),
                             ("rescored", rescored.into()),
                             ("steal_blocks", steal.blocks.into()),
                             ("steals", steal.steals.into()),
-                            ("block_sweeps", sweeps.into()),
+                            ("block_sweeps", scan.block_sweeps.into()),
                         ],
                     );
                     obs.counter_add("dist.rank_busy_ns", busy_ns);
                     obs.counter_add("dist.rank_comm_ns", comm_ns);
                     obs.counter_add("dist.steal_blocks", steal.blocks);
                     obs.counter_add("dist.steals", steal.steals);
-                    obs.counter_add("dist.block_sweeps", sweeps);
+                    obs.counter_add("dist.block_sweeps", scan.block_sweeps);
+                    obs.counter_add("dist.scored", scan.scored);
+                    obs.counter_add("dist.pruned_combos", scan.pruned_combos);
                 }
                 match ended {
                     Ok(verdict) => RankOutcome::Done {
@@ -1763,6 +1764,54 @@ mod tests {
             "empty per-GPU audit"
         );
         assert!(max - min <= 12, "spread {}", max - min);
+    }
+
+    #[test]
+    fn gpus_without_combinations_reduce_as_the_identity() {
+        // 6 GPUs over 1, 5 and 15 combinations: under EA at G = 4, 5 there
+        // are more GPUs than combinations, and under ED the last slab holds
+        // only threads with an empty tail loop (`lo >= C(l,3)` for every
+        // `l`). Such a slab must drop out of the reduce (argmax rounds: a
+        // NEG_INFINITY record; top-K rounds: an empty shard) without
+        // disturbing the panel or the audit.
+        for g in 4..=6 {
+            let (t, n) = lcg_matrices(g, 60, 30, 7);
+            let total = binomial(g as u64, 4);
+            let reference = discover::<4>(
+                &t,
+                &n,
+                &GreedyConfig {
+                    parallel: false,
+                    ..GreedyConfig::default()
+                },
+            );
+            assert!(!reference.combinations.is_empty(), "fixture should cover");
+            for scheduler in [SchedulerKind::EquiArea, SchedulerKind::EquiDistance] {
+                for scheme in [Scheme4::ThreeXOne, Scheme4::TwoXTwo] {
+                    for frontier_k in [0, frontier::DEFAULT_FRONTIER_K] {
+                        let cfg = DistributedConfig {
+                            shape: ClusterShape {
+                                nodes: 2,
+                                gpus_per_node: 3,
+                            },
+                            scheme,
+                            scheduler,
+                            frontier_k,
+                            ..DistributedConfig::default()
+                        };
+                        let dist = distributed_discover4(&t, &n, &cfg);
+                        let ctx = format!("G={g} {scheduler:?} {} k={frontier_k}", scheme.name());
+                        assert_eq!(dist.combinations, reference.combinations, "{ctx}");
+                        assert_eq!(dist.uncovered, reference.uncovered, "{ctx}");
+                        let audit = &dist.iterations[0].combos_per_gpu;
+                        assert_eq!(audit.iter().sum::<u64>(), total, "{ctx}");
+                        if total < 6 || scheduler == SchedulerKind::EquiDistance {
+                            assert!(audit.contains(&0), "{ctx}: no idle GPU in {audit:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

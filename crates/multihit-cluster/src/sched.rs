@@ -114,8 +114,8 @@ impl Partition {
     }
 }
 
-/// Flatten a schedule into the `(lo, hi)` pairs the executors
-/// ([`multihit_gpusim::exec::run_gpus4`] and friends) take.
+/// Flatten a schedule into the `(lo, hi)` pairs
+/// [`multihit_gpusim::profile::profile_partitions`] takes.
 #[must_use]
 pub fn partitions_to_ranges(parts: &[Partition]) -> Vec<(u64, u64)> {
     parts.iter().map(|p| (p.lo, p.hi)).collect()

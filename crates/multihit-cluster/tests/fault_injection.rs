@@ -301,6 +301,9 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
             "busy_ns",
             "comm_ns",
             "combos",
+            "scored",
+            "pruned_combos",
+            "pruned_subtrees",
             "rescored",
             "steal_blocks",
             "steals",
@@ -312,6 +315,17 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
     let counters = obs.counters();
     assert!(counters.contains_key("dist.rank_comm_ns"));
     assert!(counters.contains_key("dist.steal_blocks"));
+    // What the ranks scored plus what their bound cut is what they audited.
+    let audited: u64 = ft
+        .result
+        .iterations
+        .iter()
+        .flat_map(|it| &it.combos_per_gpu)
+        .sum();
+    assert_eq!(
+        counters["dist.scored"] + counters["dist.pruned_combos"],
+        audited
+    );
     assert!(counters
         .keys()
         .all(|k| !k.starts_with("ft.") && !k.starts_with("recovery.")));

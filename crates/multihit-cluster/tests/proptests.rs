@@ -153,18 +153,26 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Every rank prunes on its own incumbent over its own slabs, yet any
+    /// cluster shape, scheme and frontier size selects the panel of the
+    /// exhaustive, frontier-less single-process scan — and on every kernel
+    /// round the per-GPU audit (scored + cut) tiles `C(G,4)` exactly.
     #[test]
     fn distributed_discovery_equals_reference_on_random_cohorts(
         seed in 0u64..10_000,
-        nodes in 1usize..5,
-        gpus in 1usize..4,
+        nodes in 1usize..=4,
+        gpus in 1usize..=3,
         density in 2u64..5,
+        scheme in prop::sample::select(vec![Scheme4::TwoXTwo, Scheme4::ThreeXOne]),
+        frontier_k in prop::sample::select(vec![0usize, 4, 64]),
+        kernelize in any::<bool>(),
     ) {
         use multihit_cluster::driver::{distributed_discover4, DistributedConfig, SchedulerKind};
         use multihit_cluster::topology::ClusterShape;
         use multihit_core::bitmat::BitMatrix;
+        use multihit_core::combin::binomial;
         use multihit_core::greedy::{discover, GreedyConfig};
 
         let g = 10usize;
@@ -190,21 +198,50 @@ proptest! {
         let reference = discover::<4>(
             &t,
             &n,
-            &GreedyConfig { parallel: false, max_combinations: 2, ..GreedyConfig::default() },
+            &GreedyConfig {
+                parallel: false,
+                prune: false,
+                frontier_k: 0,
+                max_combinations: 3,
+                ..GreedyConfig::default()
+            },
         );
         let dist = distributed_discover4(
             &t,
             &n,
             &DistributedConfig {
                 shape: ClusterShape { nodes, gpus_per_node: gpus },
+                scheme,
                 scheduler: SchedulerKind::EquiArea,
-                max_combinations: 2,
+                max_combinations: 3,
+                frontier_k,
+                kernelize,
                 ..DistributedConfig::default()
             },
         );
         prop_assert_eq!(dist.combinations, reference.combinations);
         prop_assert_eq!(dist.uncovered, reference.uncovered);
+        // The ranks scan the kernelized instance when there is one.
+        let scanned_genes = if kernelize {
+            multihit_core::kernelize::kernelize(&t, &n, 4).2.kept_genes()
+        } else {
+            g
+        };
+        let total = binomial(scanned_genes as u64, 4);
+        for (i, it) in dist.iterations.iter().enumerate() {
+            prop_assert_eq!(it.combos_per_gpu.len(), nodes * gpus);
+            let audited: u64 = it.combos_per_gpu.iter().sum();
+            // A frontier hit skips the kernels; any other round scans it all.
+            prop_assert!(
+                audited == total || (frontier_k > 0 && i > 0 && audited == 0),
+                "iteration {i} audited {audited} of {total}"
+            );
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn frontier_distributed_discovery_equals_disabled_frontier(

@@ -43,6 +43,7 @@ use crate::kernel;
 use crate::obs::Obs;
 use crate::par::{self, BlockQueue};
 use crate::reduce::fold_partials;
+use crate::schemes::Scheme4;
 use crate::weight::{Alpha, Combo, Scored};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -1278,6 +1279,49 @@ pub fn best_combination_frontier<const H: usize>(
     (fr.best(), stats, fr)
 }
 
+/// Score the slab `[lo, hi)` of `scheme`'s threads — one GPU's share of a
+/// distributed iteration — and return its `keep` best combinations, best
+/// first (empty when the slab holds no combination), exactly
+/// [`crate::reduce::top_k`] over the slab's exhaustively scored set.
+///
+/// The slab is walked as its ascending colex ranges
+/// ([`Scheme4::for_each_colex_range`]) by one dense [`ComboScanner`]
+/// re-seeked from range to range, all feeding one accumulator. Because the
+/// ranges ascend, every retained entry is colex-earlier than whatever is
+/// scanned next, which is all [`ComboScanner::scan_topk`]'s non-strict
+/// full-heap cut needs to stay exact under the colex tie-break. Every
+/// combination is either scored or counted in a pruned subtree, so
+/// `scored + pruned_combos` of the returned stats is the slab's scheduler
+/// area.
+#[must_use]
+pub fn scan_slab4(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    alpha: Alpha,
+    scheme: Scheme4,
+    lo: u64,
+    hi: u64,
+    keep: usize,
+) -> (Vec<Scored<4>>, ScanStats) {
+    let mut acc = TopK::new(keep);
+    let mut stats = ScanStats::default();
+    // Built at the first range: a slab without one (more GPUs than threads)
+    // must not trip the scanner's `H <= G` precondition.
+    let mut scanner: Option<ComboScanner<4>> = None;
+    scheme.for_each_colex_range(lo, hi, tumor.n_genes() as u32, |range| {
+        let sc = scanner
+            .get_or_insert_with(|| ComboScanner::new(tumor, normal, None, alpha, range.start));
+        sc.reseek(range.start);
+        sc.scan_topk(range.end - range.start, &mut acc, true, None, &mut stats);
+    });
+    if let Some(sc) = &scanner {
+        stats.scanner_builds = 1;
+        stats.block_sweeps = sc.block_sweeps();
+        stats.swept_rows = sc.swept_rows();
+    }
+    (acc.into_sorted(), stats)
+}
+
 /// Run the full greedy weighted-set-cover discovery for `H`-hit
 /// combinations.
 #[must_use]
@@ -1901,6 +1945,95 @@ mod tests {
                 .map(|l| score_combo(&t, &n, &unrank_tuple::<3>(l), Alpha::PAPER))
                 .collect();
             assert_eq!(fr.entries(), &top_k(&all, k)[..], "k={k}");
+        }
+    }
+
+    /// The slab's combinations scored one by one through the scheme's own
+    /// enumeration — what the exhaustive GPU kernel evaluates.
+    fn slab_scores(
+        t: &BitMatrix,
+        n: &BitMatrix,
+        scheme: Scheme4,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<Scored<4>> {
+        let mut all = Vec::new();
+        for lambda in lo..hi {
+            scheme.for_each_combo(lambda, t.n_genes() as u32, |c| {
+                all.push(score_combo(t, n, &c, Alpha::PAPER));
+            });
+        }
+        all
+    }
+
+    #[test]
+    fn slab_scan_matches_exhaustive_top_k() {
+        use crate::reduce::{merge_top_k, top_k};
+        let g = 11;
+        let (t, n) = lcg_matrices(g, 96, 64, 29);
+        // Tie-heavy inputs, where a wrong cut rule or range order shows:
+        // no tumour sample mutated at all (TP = 0 everywhere, the score is
+        // TN alone), and three distinct gene rows repeated down the matrix.
+        let mut dup_t = BitMatrix::zeros(g, 96);
+        let mut dup_n = BitMatrix::zeros(g, 64);
+        for gene in 0..g {
+            for s in 0..96 {
+                dup_t.set(gene, s, t.get(gene % 3, s));
+            }
+            for s in 0..64 {
+                dup_n.set(gene, s, n.get(gene % 3, s));
+            }
+        }
+        let fixtures = [
+            ("random", t.clone(), n.clone()),
+            ("zero tumour", BitMatrix::zeros(g, 96), n.clone()),
+            ("duplicate rows", dup_t, dup_n),
+        ];
+        for (name, t, n) in &fixtures {
+            let mut pruned = 0;
+            for scheme in Scheme4::ALL {
+                let total = scheme.thread_count(g as u32);
+                let cuts = [0, total / 3, total / 2, total];
+                for keep in [1usize, 8, 64] {
+                    let ctx = format!("{name} {} keep={keep}", scheme.name());
+                    let slabs = cuts.windows(2).map(|w| (w[0], w[1])).chain([(0, total)]);
+                    let mut shards = Vec::new();
+                    for (lo, hi) in slabs {
+                        let all = slab_scores(t, n, scheme, lo, hi);
+                        let (got, st) = scan_slab4(t, n, Alpha::PAPER, scheme, lo, hi, keep);
+                        assert_eq!(got, top_k(&all, keep), "{ctx} [{lo}, {hi})");
+                        assert_eq!(st.scored + st.pruned_combos, all.len() as u64, "{ctx}");
+                        pruned += st.pruned_combos;
+                        shards.push(got);
+                    }
+                    // The split slabs' shards merge to the whole slab's.
+                    let whole = shards.pop().expect("the whole-range slab");
+                    assert_eq!(merge_top_k(&shards, keep), whole, "{ctx}");
+                }
+            }
+            assert!(pruned > 0, "{name}: the bound never cut anything");
+        }
+    }
+
+    #[test]
+    fn slab_without_combinations_scans_to_nothing() {
+        let (t, n) = lcg_matrices(6, 40, 20, 5);
+        let scheme = Scheme4::ThreeXOne;
+        let total = scheme.thread_count(6);
+        // An empty thread range, and a range whose threads all have an
+        // empty tail loop (k = G − 1: no l above it).
+        for (lo, hi) in [(7, 7), (total - 1, total)] {
+            let (got, st) = scan_slab4(&t, &n, Alpha::PAPER, scheme, lo, hi, 4);
+            assert!(got.is_empty(), "[{lo}, {hi})");
+            assert_eq!(st, ScanStats::default(), "[{lo}, {hi})");
+        }
+        // Fewer genes than hits: no scanner can even be built.
+        let (t3, n3) = lcg_matrices(3, 40, 20, 5);
+        for scheme in Scheme4::ALL {
+            let threads = scheme.thread_count(3);
+            assert!(scan_slab4(&t3, &n3, Alpha::PAPER, scheme, 0, threads, 1)
+                .0
+                .is_empty());
         }
     }
 

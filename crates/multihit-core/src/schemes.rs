@@ -17,7 +17,7 @@
 //! benches can show the trade-off, and the scheduler can reason about any of
 //! them through [`Scheme4::workload`].
 
-use crate::combin::{binomial, tri, unrank_pair, unrank_triple, unrank_tuple};
+use crate::combin::{binomial, tet, tri, unrank_pair, unrank_triple, unrank_tuple};
 
 /// A parallelization scheme for 4-hit enumeration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -170,6 +170,63 @@ impl Scheme4 {
                     f([c[0], c[1], c[2]], c[3]..c[3] + 1);
                 }
             }
+        }
+    }
+
+    /// Decompose the slab `[lo, hi)` of this scheme's threads into ranges of
+    /// the 4-tuple colex order ([`crate::combin::rank_tuple`]), handed to `f`
+    /// ascending and disjoint.
+    ///
+    /// A slab is not one colex range — a thread streams its tuple's *upper*
+    /// coordinates, colex order streams the lowest — but the flattened
+    /// prefix is itself colex-ranked, so under each upper tuple `U` (for
+    /// `3x1` each `l`, for `2x2` each `(k, l)` in colex order) the slab's
+    /// prefixes that lie below `min U` are the contiguous run
+    /// `base(U) + [lo, min(hi, C(min U, a)))`, `a` the flattened depth and
+    /// `base(U) = Σ_t C(u_t, t+1)`. The union is exactly the slab's
+    /// [`Self::for_each_combo`] set, so the lengths sum to its
+    /// [`Self::workload`] area.
+    pub fn for_each_colex_range<F: FnMut(std::ops::Range<u64>)>(
+        self,
+        lo: u64,
+        hi: u64,
+        g: u32,
+        mut f: F,
+    ) {
+        // `n` prefixes fit below the upper tuple whose colex base is `base`.
+        let mut below = |base: u64, n: u64| {
+            let end = hi.min(n);
+            if lo < end {
+                f(base + lo..base + end);
+            }
+        };
+        // Colex base of the upper tuples topped by `l`.
+        let quad = |l: u32| binomial(u64::from(l), 4);
+        match self {
+            Scheme4::OneXThree => {
+                for l in 3..g {
+                    for k in 2..l {
+                        let base = tet(u64::from(k)) + quad(l);
+                        for j in 1..k {
+                            below(tri(u64::from(j)) + base, u64::from(j));
+                        }
+                    }
+                }
+            }
+            Scheme4::TwoXTwo => {
+                for l in 3..g {
+                    let base = quad(l);
+                    for k in 2..l {
+                        below(tet(u64::from(k)) + base, tri(u64::from(k)));
+                    }
+                }
+            }
+            Scheme4::ThreeXOne => {
+                for l in 3..g {
+                    below(quad(l), tet(u64::from(l)));
+                }
+            }
+            Scheme4::FourXOne => below(0, quad(g)),
         }
     }
 

@@ -578,6 +578,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A λ-slab of any scheme is a union of ascending, disjoint colex
+    /// ranges: together they hold exactly the slab's combinations, so their
+    /// lengths sum to its scheduler area.
+    #[test]
+    fn slab_colex_ranges_tile_the_slab(
+        g in 4u32..=14,
+        scheme in 0usize..4,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let scheme = Scheme4::ALL[scheme];
+        let threads = scheme.thread_count(g);
+        let (a, b) = (a % (threads + 1), b % (threads + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut ranges = Vec::new();
+        scheme.for_each_colex_range(lo, hi, g, |r| ranges.push(r));
+        for r in &ranges {
+            prop_assert!(r.start < r.end, "empty range {r:?}");
+        }
+        for w in ranges.windows(2) {
+            prop_assert!(w[0].end <= w[1].start, "{:?} then {:?}", w[0], w[1]);
+        }
+        let got: Vec<[u32; 4]> = ranges
+            .iter()
+            .flat_map(|r| r.clone())
+            .map(unrank_tuple::<4>)
+            .collect();
+        let mut want = Vec::new();
+        for lambda in lo..hi {
+            scheme.for_each_combo(lambda, g, |c| want.push(c));
+        }
+        want.sort_by_key(rank_tuple);
+        prop_assert!(got == want, "{} [{lo}, {hi}) of g={g}", scheme.name());
+        let area: u64 = (lo..hi).map(|lambda| scheme.workload(lambda, g)).sum();
+        prop_assert_eq!(got.len() as u64, area);
+    }
+}
+
 /// `C(20000, 4)` ≈ 6.66e15 — far past `u32`, well inside `u64`. These pin
 /// the G = 20,000 h = 4 boundary the scale-out roadmap targets: the combo
 /// index maps, the workload formulas, and the scheme decomposition must all

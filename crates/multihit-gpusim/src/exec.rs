@@ -14,11 +14,15 @@
 //! Alongside the result, the executor audits its global traffic and emits
 //! the [`WorkProfile`] the cost model consumes, so tests can assert the
 //! analytic profile matches actual execution word for word.
+//!
+//! This is the audited *exhaustive* reference — what the cost model prices
+//! and the benches time. The functional cluster ranks do not run it: they
+//! score their slabs through the bound-pruned
+//! [`multihit_core::greedy::scan_slab4`].
 
 use crate::profile::WorkProfile;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::kernel;
-use multihit_core::par::{self, StealStats};
 use multihit_core::reduce::{gpu_reduce, ReduceStats};
 use multihit_core::schemes::{Scheme3, Scheme4};
 use multihit_core::weight::{Alpha, Scored};
@@ -121,45 +125,6 @@ pub fn run_maxf4(
     hi: u64,
     block_size: usize,
 ) -> ExecOutcome<4> {
-    run_maxf4_sink(tumor, normal, alpha, scheme, lo, hi, block_size, |_| {})
-}
-
-/// [`run_maxf4`] that additionally retains the GPU's top-`k` scored
-/// combinations (the lazy-greedy frontier shard), selected with the same
-/// rule as [`multihit_core::reduce::top_k`]. The [`ExecOutcome`] — winner,
-/// audited profile, reduction stats — is identical to [`run_maxf4`]'s.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_maxf4_topk(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    lo: u64,
-    hi: u64,
-    block_size: usize,
-    k: usize,
-) -> (ExecOutcome<4>, Vec<Scored<4>>) {
-    let mut acc = multihit_core::frontier::TopK::new(k);
-    let out = run_maxf4_sink(tumor, normal, alpha, scheme, lo, hi, block_size, |s| {
-        acc.offer(*s);
-    });
-    (out, acc.into_sorted())
-}
-
-/// The shared `maxF` body: every scored combination is also offered to
-/// `sink` (a no-op closure for the plain argmax path, monomorphized away).
-#[allow(clippy::too_many_arguments)]
-fn run_maxf4_sink<F: FnMut(&Scored<4>)>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    lo: u64,
-    hi: u64,
-    block_size: usize,
-    mut sink: F,
-) -> ExecOutcome<4> {
     assert_eq!(tumor.n_genes(), normal.n_genes());
     let g = tumor.n_genes() as u32;
     let wt = tumor.words_per_row();
@@ -186,14 +151,12 @@ fn run_maxf4_sink<F: FnMut(&Scored<4>)>(
                 block_sweeps +=
                     sweep_last_coord(tumor, normal, &scratch, range, n_norm, |last, tp, tn| {
                         inner += 1;
-                        let s = Scored {
+                        best = best.max_det(Scored {
                             score: alpha.score(tp, tn),
                             tp,
                             tn,
                             genes: [fx[0], fx[1], fx[2], last],
-                        };
-                        sink(&s);
-                        best = best.max_det(s);
+                        });
                     });
             });
             profile.n_threads += 1;
@@ -214,50 +177,6 @@ fn run_maxf4_sink<F: FnMut(&Scored<4>)>(
         reduce,
         block_sweeps,
     }
-}
-
-/// [`run_maxf4`] with observability: wraps the launch in a `kernel` span,
-/// emits one `kernel` point (λ-range, audited combos/words, wall
-/// `kernel_ns`) and folds the audit into `exec.*` counters.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_maxf4_obs(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    lo: u64,
-    hi: u64,
-    block_size: usize,
-    obs: &multihit_core::obs::Obs,
-) -> ExecOutcome<4> {
-    let span = obs.span("kernel");
-    let start = std::time::Instant::now();
-    let out = run_maxf4(tumor, normal, alpha, scheme, lo, hi, block_size);
-    let kernel_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if obs.is_enabled() {
-        obs.point(
-            "kernel",
-            &[
-                ("scheme", scheme.name().into()),
-                ("lo", lo.into()),
-                ("hi", hi.into()),
-                ("kernel_ns", kernel_ns.into()),
-                ("combos", out.profile.combos.into()),
-                ("inner_words", out.profile.inner_words.into()),
-                ("prefetch_words", out.profile.prefetch_words.into()),
-                ("block_sweeps", out.block_sweeps.into()),
-            ],
-        );
-        obs.counter_add("exec.launches", 1);
-        obs.counter_add("exec.combos", out.profile.combos);
-        obs.counter_add("exec.inner_words", out.profile.inner_words);
-        obs.counter_add("exec.prefetch_words", out.profile.prefetch_words);
-        obs.counter_add("exec.kernel_ns", kernel_ns);
-        obs.counter_add("exec.block_sweeps", out.block_sweeps);
-    }
-    drop(span);
-    out
 }
 
 /// Execute the 3-hit `maxF` kernel over threads `[lo, hi)` of `scheme`.
@@ -316,76 +235,6 @@ pub fn run_maxf3(
         reduce,
         block_sweeps,
     }
-}
-
-/// Execute the full 4-hit range of a scheme split across several simulated
-/// GPUs, returning per-GPU outcomes in range order. GPUs are dispatched by a
-/// work-stealing cursor ([`par::par_map_indexed`]) so one heavy λ-partition
-/// cannot serialize the others behind a static round-robin; the caller is
-/// responsible for the rank-0 reduction across GPUs.
-#[must_use]
-pub fn run_gpus4(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    ranges: &[(u64, u64)],
-    block_size: usize,
-) -> Vec<ExecOutcome<4>> {
-    run_gpus4_stats(tumor, normal, alpha, scheme, ranges, block_size).0
-}
-
-/// [`run_gpus4`] plus the scheduling counters of the GPU dispatch.
-#[must_use]
-pub fn run_gpus4_stats(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    ranges: &[(u64, u64)],
-    block_size: usize,
-) -> (Vec<ExecOutcome<4>>, StealStats) {
-    par::par_map_indexed(ranges.len(), par::default_workers(), |i| {
-        let (lo, hi) = ranges[i];
-        run_maxf4(tumor, normal, alpha, scheme, lo, hi, block_size)
-    })
-}
-
-/// [`run_gpus4`] with observability: emits one `gpu_fleet` point (ranges,
-/// wall time, steal accounting, kernel dispatch) and `exec.steal_*`
-/// counters.
-#[must_use]
-pub fn run_gpus4_obs(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme4,
-    ranges: &[(u64, u64)],
-    block_size: usize,
-    obs: &multihit_core::obs::Obs,
-) -> Vec<ExecOutcome<4>> {
-    let span = obs.span("gpu_fleet");
-    let start = std::time::Instant::now();
-    let (outs, steals) = run_gpus4_stats(tumor, normal, alpha, scheme, ranges, block_size);
-    let fleet_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if obs.is_enabled() {
-        obs.point(
-            "gpu_fleet",
-            &[
-                ("scheme", scheme.name().into()),
-                ("gpus", ranges.len().into()),
-                ("fleet_ns", fleet_ns.into()),
-                ("steal_blocks", steals.blocks.into()),
-                ("steals", steals.steals.into()),
-                ("kernel", kernel::active().name().into()),
-            ],
-        );
-        obs.counter_add("exec.fleet_launches", 1);
-        obs.counter_add("exec.steal_blocks", steals.blocks);
-        obs.counter_add("exec.steals", steals.steals);
-    }
-    drop(span);
-    outs
 }
 
 #[cfg(test)]
@@ -464,7 +313,10 @@ mod tests {
         let whole = run_maxf4(&t, &n, Alpha::PAPER, scheme, 0, total, 512);
         let cuts = [0, total / 5, total / 2, 3 * total / 4, total];
         let ranges: Vec<(u64, u64)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-        let outs = run_gpus4(&t, &n, Alpha::PAPER, scheme, &ranges, 128);
+        let outs: Vec<_> = ranges
+            .iter()
+            .map(|&(lo, hi)| run_maxf4(&t, &n, Alpha::PAPER, scheme, lo, hi, 128))
+            .collect();
         let per_gpu: Vec<_> = outs.iter().map(|o| o.best).collect();
         assert_eq!(rank0_reduce(&per_gpu), whole.best);
         let combos: u64 = outs.iter().map(|o| o.profile.combos).sum();
@@ -504,40 +356,6 @@ mod tests {
                 // mid-loop rebuild via the prefetch path instead.
                 assert_eq!(out.profile.inner_words, analytic.inner_words);
             }
-        }
-    }
-
-    #[test]
-    fn topk_kernel_matches_plain_kernel_and_exhaustive_topk() {
-        use multihit_core::combin::unrank_tuple;
-        use multihit_core::reduce::top_k;
-        use multihit_core::weight::score_combo;
-        let (t, n) = lcg_matrices(11, 96, 64, 29);
-        let all: Vec<Scored<4>> = (0..binomial(11, 4))
-            .map(|l| score_combo(&t, &n, &unrank_tuple::<4>(l), Alpha::PAPER))
-            .collect();
-        for scheme in [Scheme4::ThreeXOne, Scheme4::TwoXTwo] {
-            let total = scheme.thread_count(11);
-            let plain = run_maxf4(&t, &n, Alpha::PAPER, scheme, 0, total, 512);
-            for k in [1usize, 8, 64] {
-                let (out, shard) = run_maxf4_topk(&t, &n, Alpha::PAPER, scheme, 0, total, 512, k);
-                assert_eq!(out.best, plain.best, "{} k={k}", scheme.name());
-                assert_eq!(out.profile, plain.profile, "{} k={k}", scheme.name());
-                assert_eq!(out.reduce, plain.reduce, "{} k={k}", scheme.name());
-                assert_eq!(shard, top_k(&all, k), "{} k={k}", scheme.name());
-            }
-            // Split ranges: merged shards must equal the whole-range shard.
-            let cuts = [0, total / 3, total / 2, total];
-            let shards: Vec<Vec<Scored<4>>> = cuts
-                .windows(2)
-                .map(|w| run_maxf4_topk(&t, &n, Alpha::PAPER, scheme, w[0], w[1], 512, 8).1)
-                .collect();
-            assert_eq!(
-                multihit_core::reduce::merge_top_k(&shards, 8),
-                top_k(&all, 8),
-                "{}",
-                scheme.name()
-            );
         }
     }
 

@@ -40,8 +40,9 @@
 //! restarts. With `--inject` the subcommand instead runs a *functional*
 //! fault-injection demo: real rank threads on a synthetic cohort under a
 //! deterministic fault plan (e.g. `--inject rank-kill=1@2`), verified
-//! bit-identical against the fault-free reference, with the recovery bill
-//! (re-executed λ-work, retransmits, checkpoint fallbacks) printed.
+//! bit-identical against single-process `discover` on the same cohort, with
+//! the ranks' pruning (`scored_combos`, `pruned_fraction`) and the recovery
+//! bill (re-executed λ-work, retransmits, checkpoint fallbacks) printed.
 //! `--ft-timeout-ms` is the probe interval: how long a rank waits on a silent
 //! peer before probing it again. It paces retransmission and how fast a kill
 //! is noticed; it never evicts a peer for being slow. Plans
@@ -78,7 +79,7 @@
 use multihit::cluster::driver::{model_run_faulty, timeline_run_obs, ModelConfig, SchedulerKind};
 use multihit::cluster::timing::FailureModel;
 use multihit::core::bitmat::BitMatrix;
-use multihit::core::greedy::{discover_obs, GreedyConfig, SparseMode};
+use multihit::core::greedy::{discover, discover_obs, GreedyConfig, SparseMode};
 use multihit::core::obs::{Obs, RunReport};
 use multihit::data::classify::ComboClassifier;
 use multihit::data::maf::{matrix_to_records, parse_maf, summarize, write_maf};
@@ -526,12 +527,11 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 /// on a synthetic cohort) under a deterministic fault plan, route the
 /// checkpoints through the durable store so `ckpt-*` injections bite, and
 /// print the recovery bill. Fails unless the surviving ranks reproduce the
-/// fault-free reference bit-for-bit.
+/// panel of single-process [`discover`] — a different entry into the engine,
+/// so the driver is never checked against itself.
 fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> Result<(), String> {
     use multihit::cluster::checkpoint::{Checkpoint, CheckpointStore};
-    use multihit::cluster::driver::{
-        distributed_discover4, distributed_discover4_ft, DistributedConfig,
-    };
+    use multihit::cluster::driver::{distributed_discover4_ft, DistributedConfig};
     use multihit::cluster::fault::{FaultPlan, FaultState, FtParams};
     use multihit::cluster::topology::ClusterShape;
 
@@ -571,7 +571,14 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
         cfg.shape.gpus_per_node
     );
 
-    let reference = distributed_discover4(&cohort.tumor, &cohort.normal, &cfg);
+    let reference = discover::<4>(
+        &cohort.tumor,
+        &cohort.normal,
+        &GreedyConfig {
+            max_combinations: cfg.max_combinations,
+            ..GreedyConfig::default()
+        },
+    );
     let faults = FaultState::new(plan, obs);
     let params = FtParams {
         timeout: std::time::Duration::from_millis(probe_ms),
@@ -612,6 +619,13 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     let report = RunReport::from_events(&obs.events());
     println!("combinations\t{}", ft.result.combinations.len());
     println!("matches_reference\t{matches}");
+    let scored = obs.counter("dist.scored");
+    let pruned = obs.counter("dist.pruned_combos");
+    println!("scored_combos\t{scored}");
+    println!(
+        "pruned_fraction\t{:.4}",
+        pruned as f64 / (scored + pruned).max(1) as f64
+    );
     println!("faults_fired\t{}", faults.fired().len());
     println!("dead_ranks\t{:?}", r.dead_ranks);
     println!("joined_ranks\t{:?}", r.joined_ranks);
@@ -625,7 +639,7 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     println!("ckpt_fallbacks\t{}", report.ckpt_fallbacks());
     println!("resumed_combinations\t{}", resumed.chosen.len());
     if !matches {
-        return Err("fault-injected run diverged from the fault-free reference".to_string());
+        return Err("fault-injected run diverged from single-process discovery".to_string());
     }
     Ok(())
 }

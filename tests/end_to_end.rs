@@ -1,9 +1,13 @@
 //! Cross-crate integration tests: the full paper pipeline from synthetic
 //! MAF text down to distributed discovery and held-out classification.
 
-use multihit::cluster::driver::{distributed_discover4, DistributedConfig, SchedulerKind};
+use multihit::cluster::driver::{
+    distributed_discover4, distributed_discover4_obs, DistributedConfig, SchedulerKind,
+};
 use multihit::cluster::topology::ClusterShape;
+use multihit::core::combin::binomial;
 use multihit::core::greedy::{discover, GreedyConfig};
+use multihit::core::obs::Obs;
 use multihit::core::schemes::Scheme4;
 use multihit::data::classify::ComboClassifier;
 use multihit::data::maf::{matrix_to_records, parse_maf, summarize, write_maf};
@@ -109,6 +113,69 @@ fn distributed_equals_local_across_schedulers_and_schemes() {
             assert_eq!(
                 dist.combinations, reference.combinations,
                 "{nodes} nodes, {scheduler:?}"
+            );
+        }
+    }
+}
+
+/// Cluster ranks score their λ-slabs with the bound-pruned core scanner,
+/// each on its own incumbent. The panel must still be the one an
+/// exhaustive, frontier-less single-process scan selects, and what the
+/// ranks scored plus what they cut must tile `C(G,4)` on every kernel round.
+#[test]
+fn cluster_ranks_prune_yet_select_the_exhaustive_panel() {
+    let cohort = generate(&CohortSpec {
+        n_genes: 14,
+        n_tumor: 90,
+        n_normal: 50,
+        n_driver_combos: 2,
+        hits_per_combo: 4,
+        ..CohortSpec::default()
+    });
+    let total = binomial(14, 4);
+    let reference = discover::<4>(
+        &cohort.tumor,
+        &cohort.normal,
+        &GreedyConfig {
+            max_combinations: 3,
+            parallel: false,
+            prune: false,
+            frontier_k: 0,
+            ..GreedyConfig::default()
+        },
+    );
+    for scheme in [Scheme4::ThreeXOne, Scheme4::TwoXTwo] {
+        for frontier_k in [0usize, 64] {
+            let cfg = DistributedConfig {
+                shape: ClusterShape {
+                    nodes: 3,
+                    gpus_per_node: 2,
+                },
+                scheme,
+                max_combinations: 3,
+                frontier_k,
+                ..DistributedConfig::default()
+            };
+            let obs = Obs::enabled();
+            let dist = distributed_discover4_obs(&cohort.tumor, &cohort.normal, &cfg, &obs);
+            let ctx = format!("{} k={frontier_k}", scheme.name());
+            assert_eq!(dist.combinations, reference.combinations, "{ctx}");
+            let mut audited = 0;
+            for it in &dist.iterations {
+                let sum: u64 = it.combos_per_gpu.iter().sum();
+                assert!(sum == total || (frontier_k > 0 && sum == 0), "{ctx}: {sum}");
+                audited += sum;
+            }
+            let (scored, pruned) = (
+                obs.counter("dist.scored"),
+                obs.counter("dist.pruned_combos"),
+            );
+            // Floor misses discard a rescore round, never a kernel round, so
+            // the counters and the per-iteration audit see the same scans.
+            assert_eq!(scored + pruned, audited, "{ctx}");
+            assert!(
+                pruned > 0,
+                "{ctx}: the ranks scored all {scored} exhaustively"
             );
         }
     }
