@@ -14,7 +14,11 @@
 //! realization of the paper's MemOpt prefetching, generalized to every
 //! level of the `H`-deep loop.
 //!
-//! On top of the incremental scan sit two exact accelerations:
+//! Every scan — argmax or top-K, pruned or exhaustive, block-swept or
+//! stepping — is the scanner's one private traversal (`walk`: score a leaf
+//! run into a sink, advance to the next surviving subtree), and every
+//! whole-range scan goes through one driver (`scan_range`). On top of the
+//! incremental scan sit two exact accelerations:
 //!
 //! * **Branch-and-bound pruning** ([`ComboScanner::scan_pruned`]): at colex
 //!   level `t` the partial-AND popcount bounds TP for *every* completion of
@@ -240,6 +244,47 @@ impl<const H: usize> GreedyResult<H> {
             return 1.0;
         }
         f64::from(n_tumor - self.uncovered) / f64::from(n_tumor)
+    }
+}
+
+/// What a traversal keeps of the combinations it scores, and the bound that
+/// lets it skip the rest.
+trait Sink<const H: usize> {
+    /// Offer one scored combination; `true` when [`Self::floor`] may have
+    /// risen.
+    fn take(&mut self, s: Scored<H>) -> bool;
+    /// The score a combination must exceed to get past what is already
+    /// held, or `None` while anything offered would still be kept.
+    fn floor(&self) -> Option<u64>;
+}
+
+/// Argmax: the incumbent itself, replaced by whatever beats it.
+impl<const H: usize> Sink<H> for Scored<H> {
+    #[inline]
+    fn take(&mut self, s: Scored<H>) -> bool {
+        let better = s.beats(self);
+        if better {
+            *self = s;
+        }
+        better
+    }
+
+    #[inline]
+    fn floor(&self) -> Option<u64> {
+        Some(self.score)
+    }
+}
+
+/// Top-K: the floor is the weakest entry, and only once K are held.
+impl<const H: usize> Sink<H> for TopK<H> {
+    #[inline]
+    fn take(&mut self, s: Scored<H>) -> bool {
+        self.offer(s) && self.is_full()
+    }
+
+    #[inline]
+    fn floor(&self) -> Option<u64> {
+        self.is_full().then(|| self.floor_score())
     }
 }
 
@@ -577,35 +622,6 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         }
     }
 
-    /// Advance to the next combination in colex order. Returns `false` when
-    /// the enumeration is exhausted.
-    fn advance(&mut self) -> bool {
-        self.advance_floor(0)
-    }
-
-    /// [`Self::advance`] rebuilding only levels `>= floor`. The block sweep
-    /// passes `floor = 1`: it never reads the level-0 partial (candidate
-    /// rows are scored straight off the level-1 partial), so rebuilding it
-    /// would be pure waste.
-    fn advance_floor(&mut self, floor: usize) -> bool {
-        // Find the smallest level whose coordinate can still move up.
-        for t in 0..H {
-            let limit = if t + 1 < H { self.combo[t + 1] } else { self.g };
-            if self.combo[t] + 1 < limit {
-                self.combo[t] += 1;
-                // Reset all lower coordinates to their minimal values.
-                for (low, c) in self.combo.iter_mut().enumerate().take(t) {
-                    *c = low as u32;
-                }
-                for level in (floor..=t).rev() {
-                    self.rebuild_level(level);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
     /// Exclusive upper end of the current level-0 sibling run: the lowest
     /// coordinate sweeps `[combo[0], combo[1])` while every higher
     /// coordinate stays fixed. Only meaningful for `H >= 2`.
@@ -695,133 +711,50 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         self.combo[0] = (lo + n - 1) as u32;
     }
 
-    /// Scan `count` combinations starting at the current position, returning
-    /// the deterministic best.
-    #[must_use]
-    pub fn scan(&mut self, count: u64) -> Scored<H> {
+    /// Score the leaves at the current position, feeding each to `f` in colex
+    /// order, and return how many: the level-0 sibling run
+    /// `[combo[0], combo[1])` clamped to `remaining` as block sweeps, or the
+    /// current combination alone when stepping. Level-0 siblings are never
+    /// individually pruned ([`Self::advance`] bound-checks levels `>= 1`
+    /// only), so sweeping and stepping score exactly the same set.
+    #[inline]
+    fn leaf_run<F: FnMut(Scored<H>)>(&mut self, remaining: u64, mut f: F) -> u64 {
         if !self.sweep_enabled() {
-            return self.scan_step(count);
+            f(self.score_current());
+            return 1;
         }
-        let mut best = Scored::NEG_INFINITY;
-        let mut remaining = count;
-        while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| best = best.max_det(s));
-            remaining -= n as u64;
-            if remaining == 0 || !self.advance_floor(1) {
-                break;
-            }
-        }
-        best
+        let n = u64::from(self.level0_limit() - self.combo[0]).min(remaining);
+        self.sweep_level0(n as usize, f);
+        n
     }
 
-    /// Stepping reference for [`Self::scan`] (also the `H = 1` path).
-    fn scan_step(&mut self, count: u64) -> Scored<H> {
-        let mut best = Scored::NEG_INFINITY;
-        for step in 0..count {
-            best = best.max_det(self.score_current());
-            if step + 1 < count && !self.advance() {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Scan `count` combinations with branch-and-bound pruning. Returns the
-    /// deterministic best of `seed` and the scanned range — bit-identical to
-    /// `seed.max_det(self.scan(count))`.
+    /// Move to the next combination in colex order whose subtree survives
+    /// `cut`, charging every subtree skipped on the way to `stats` and to
+    /// `remaining` (clamped, so a subtree overhanging the caller's range
+    /// never over-counts). Returns `false` when the enumeration is
+    /// exhausted; `remaining == 0` on return means the range ended inside a
+    /// pruned subtree. `cut: None` is the exhaustive walk.
     ///
-    /// `seed` must come from combinations that are colex-*earlier* than this
-    /// range (or be `NEG_INFINITY`): a subtree is cut when its bound cannot
-    /// *strictly* beat `seed`'s score, which is exact because colex-later
-    /// ties lose to the incumbent under [`Scored::cmp_det`]. `shared`, when
-    /// given, carries the best score seen by *any* worker; since another
-    /// worker's equal-scoring combination may be colex-later than this range,
-    /// the shared cut requires the bound to be strictly below it.
-    pub fn scan_pruned(
-        &mut self,
-        count: u64,
-        seed: Scored<H>,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) -> Scored<H> {
-        if !self.sweep_enabled() {
-            return self.scan_pruned_step(count, seed, shared, stats);
-        }
-        // Level-0 siblings are never individually pruned (the rebuild loop
-        // bound-checks only levels >= 1), so once the level-1 bound survives
-        // the whole run [combo[0], combo[1]) is scored — as a block sweep
-        // here, one step at a time in the reference. Identical either way.
-        let mut best = seed;
-        let mut remaining = count;
-        while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| {
-                if s.beats(&best) {
-                    best = s;
-                    if let Some(sh) = shared {
-                        sh.fetch_max(best.score, Ordering::Relaxed);
-                    }
-                }
-            });
-            stats.scored += n as u64;
-            remaining -= n as u64;
-            if remaining == 0 || !self.advance_pruned(&mut remaining, &best, shared, stats, 1) {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Stepping reference for [`Self::scan_pruned`] (also the `H = 1` path).
-    fn scan_pruned_step(
-        &mut self,
-        count: u64,
-        seed: Scored<H>,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) -> Scored<H> {
-        let mut best = seed;
-        let mut remaining = count;
-        while remaining > 0 {
-            let s = self.score_current();
-            stats.scored += 1;
-            if s.beats(&best) {
-                best = s;
-                if let Some(sh) = shared {
-                    sh.fetch_max(best.score, Ordering::Relaxed);
-                }
-            }
-            remaining -= 1;
-            if remaining == 0 || !self.advance_pruned(&mut remaining, &best, shared, stats, 0) {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Advance to the next combination whose subtree bound survives, pruning
-    /// bound-dominated subtrees along the way. Decrements `remaining` by the
-    /// combinations each pruned subtree would have scored (clamped so a
-    /// subtree overhanging the caller's range never over-counts). Returns
-    /// `false` when the enumeration is exhausted; `remaining == 0` on return
-    /// means the range ended inside a pruned subtree.
-    ///
-    /// `floor` is the lowest level to rebuild: 0 when stepping (the leaf
-    /// partial feeds [`Self::score_current`]), 1 when block-sweeping (the
-    /// sweep scores candidates straight off the level-1 partial). The bound
-    /// is only ever checked at levels `>= 1`, so the cut decisions are
-    /// identical for both floors.
-    fn advance_pruned(
+    /// A subtree is cut when its bound does not *exceed* the sink's floor:
+    /// whatever holds the floor was scanned colex-earlier, so a tie inside
+    /// the subtree loses under [`Scored::cmp_det`]. `shared` carries floors
+    /// published by other workers, whose holders may be colex-*later* than
+    /// this subtree, so that cut needs the bound strictly below it.
+    //
+    // Out of line on purpose, as the three loops it replaced were: left to
+    // the inliner it measured luad_h4/wall_s 2.68 s against 2.46 s as a call
+    // (6 of 6 rotations; 2.63 s before the fold).
+    #[inline(never)]
+    fn advance<S: Sink<H>>(
         &mut self,
         remaining: &mut u64,
-        best: &Scored<H>,
+        cut: Option<&S>,
         shared: Option<&AtomicU64>,
         stats: &mut ScanStats,
-        floor: usize,
     ) -> bool {
+        // Lowest level to rebuild: the sweep scores candidates straight off
+        // the level-1 partial and never reads the leaf's.
+        let floor = usize::from(self.sweep_enabled());
         // Smallest level allowed to move; pruning at level `t` resumes the
         // colex enumeration at the first combination past the subtree, which
         // is exactly "advance at level >= t".
@@ -851,10 +784,11 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
                 if level == 0 {
                     break;
                 }
+                let Some(sink) = cut else { continue };
                 let bound = self.alpha.score(self.pop_t[level], self.n_normal);
-                let cut = bound <= best.score
-                    || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed));
-                if cut {
+                if sink.floor().is_some_and(|f| bound <= f)
+                    || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed))
+                {
                     let subtree = binomial(u64::from(self.combo[level]), level as u64);
                     let skipped = subtree.min(*remaining);
                     stats.pruned_subtrees += 1;
@@ -871,18 +805,80 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         }
     }
 
+    /// The one traversal: score `count` combinations from the current
+    /// position into `sink`, skipping bound-dominated subtrees when `prune`
+    /// is set. Every combination of the range is either scored or counted
+    /// in a pruned subtree. `shared`, when given, receives the sink's floor
+    /// each time it may have risen and tightens [`Self::advance`]'s cut.
+    fn walk<S: Sink<H>>(
+        &mut self,
+        count: u64,
+        sink: &mut S,
+        prune: bool,
+        shared: Option<&AtomicU64>,
+        stats: &mut ScanStats,
+    ) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let n = self.leaf_run(remaining, |s| {
+                if sink.take(s) {
+                    if let (Some(sh), Some(floor)) = (shared, sink.floor()) {
+                        sh.fetch_max(floor, Ordering::Relaxed);
+                    }
+                }
+            });
+            stats.scored += n;
+            remaining -= n;
+            if remaining == 0
+                || !self.advance(&mut remaining, prune.then_some(&*sink), shared, stats)
+            {
+                break;
+            }
+        }
+    }
+
+    /// Scan `count` combinations starting at the current position, returning
+    /// the deterministic best.
+    #[must_use]
+    pub fn scan(&mut self, count: u64) -> Scored<H> {
+        let mut best = Scored::NEG_INFINITY;
+        self.walk(count, &mut best, false, None, &mut ScanStats::default());
+        best
+    }
+
+    /// Scan `count` combinations with branch-and-bound pruning. Returns the
+    /// deterministic best of `seed` and the scanned range — bit-identical to
+    /// `seed.max_det(self.scan(count))`.
+    ///
+    /// `seed` must come from combinations that are colex-*earlier* than this
+    /// range (or be `NEG_INFINITY`): a subtree is cut when its bound cannot
+    /// *strictly* beat the incumbent's score, which is exact because
+    /// colex-later ties lose under [`Scored::cmp_det`]. `shared`, when
+    /// given, carries the best score seen by *any* worker; that one may be
+    /// colex-later than this range, so the shared cut requires the bound to
+    /// be strictly below it.
+    pub fn scan_pruned(
+        &mut self,
+        count: u64,
+        seed: Scored<H>,
+        shared: Option<&AtomicU64>,
+        stats: &mut ScanStats,
+    ) -> Scored<H> {
+        let mut best = seed;
+        self.walk(count, &mut best, true, shared, stats);
+        best
+    }
+
     /// Scan `count` combinations accumulating the top-K into `acc`, with
     /// optional branch-and-bound pruning against the accumulator's floor.
     ///
     /// The cut requires a *full* heap: with K entries, each scoring at
-    /// least the floor and each colex-earlier than the subtree (this
-    /// worker scans monotonically increasing ranges), every subtree
-    /// member whose bound does not exceed the floor loses the entry rule
-    /// to all K incumbents — so the pruned per-shard result is identical
-    /// to [`crate::reduce::top_k`] over the shard. `shared`, when given,
-    /// carries the highest *full-heap* floor published by any worker;
-    /// since K combinations elsewhere score at least it, the shared cut
-    /// is strict.
+    /// least the floor and each colex-earlier than the subtree (`acc` must
+    /// only have seen colex-earlier ranges), every subtree member whose
+    /// bound does not exceed the floor loses the entry rule to all K
+    /// incumbents — so the pruned per-shard result is identical to
+    /// [`crate::reduce::top_k`] over the shard. `shared`, when given,
+    /// carries the highest *full-heap* floor published by any worker.
     pub fn scan_topk(
         &mut self,
         count: u64,
@@ -891,121 +887,7 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         shared: Option<&AtomicU64>,
         stats: &mut ScanStats,
     ) {
-        if !self.sweep_enabled() {
-            return self.scan_topk_step(count, acc, prune, shared, stats);
-        }
-        let mut remaining = count;
-        while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| {
-                if acc.offer(s) && acc.is_full() {
-                    if let Some(sh) = shared {
-                        sh.fetch_max(acc.floor_score(), Ordering::Relaxed);
-                    }
-                }
-            });
-            stats.scored += n as u64;
-            remaining -= n as u64;
-            if remaining == 0 {
-                break;
-            }
-            let more = if prune {
-                self.advance_topk(&mut remaining, acc, shared, stats, 1)
-            } else {
-                self.advance_floor(1)
-            };
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// Stepping reference for [`Self::scan_topk`] (also the `H = 1` path).
-    fn scan_topk_step(
-        &mut self,
-        count: u64,
-        acc: &mut TopK<H>,
-        prune: bool,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let s = self.score_current();
-            stats.scored += 1;
-            if acc.offer(s) && acc.is_full() {
-                if let Some(sh) = shared {
-                    sh.fetch_max(acc.floor_score(), Ordering::Relaxed);
-                }
-            }
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-            let more = if prune {
-                self.advance_topk(&mut remaining, acc, shared, stats, 0)
-            } else {
-                self.advance()
-            };
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// [`Self::advance_pruned`] for top-K accumulation: a subtree is cut
-    /// only when the local heap is full and the bound does not beat its
-    /// floor, or when the bound is strictly below the shared full-heap
-    /// floor.
-    fn advance_topk(
-        &mut self,
-        remaining: &mut u64,
-        acc: &TopK<H>,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-        floor: usize,
-    ) -> bool {
-        let mut from = 0usize;
-        'advance: loop {
-            let mut moved = usize::MAX;
-            for t in from..H {
-                let limit = if t + 1 < H { self.combo[t + 1] } else { self.g };
-                if self.combo[t] + 1 < limit {
-                    self.combo[t] += 1;
-                    for (low, c) in self.combo.iter_mut().enumerate().take(t) {
-                        *c = low as u32;
-                    }
-                    moved = t;
-                    break;
-                }
-            }
-            if moved == usize::MAX {
-                return false;
-            }
-            for level in (floor..=moved).rev() {
-                self.rebuild_level(level);
-                if level == 0 {
-                    break;
-                }
-                let bound = self.alpha.score(self.pop_t[level], self.n_normal);
-                let cut = (acc.is_full() && bound <= acc.floor_score())
-                    || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed));
-                if cut {
-                    let subtree = binomial(u64::from(self.combo[level]), level as u64);
-                    let skipped = subtree.min(*remaining);
-                    stats.pruned_subtrees += 1;
-                    stats.pruned_combos += skipped;
-                    *remaining -= skipped;
-                    if *remaining == 0 {
-                        return true;
-                    }
-                    from = level;
-                    continue 'advance;
-                }
-            }
-            return true;
-        }
+        self.walk(count, acc, prune, shared, stats);
     }
 }
 
@@ -1025,13 +907,11 @@ pub fn best_combination<const H: usize>(
 
 /// Find the argmax-F combination and report how the scan got there.
 ///
-/// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
-/// one worker per core; each worker threads its own running best through
-/// consecutive (colex-ordered) blocks and publishes its best *score* to a
-/// shared atomic that tightens every worker's pruning bound. Per-worker
-/// winners fold with [`fold_partials`], so the result is bit-identical to
-/// the sequential scan regardless of schedule, and with `cfg.prune` off it
-/// is bit-identical to the exhaustive reference.
+/// With `cfg.parallel` the range is scanned by work-stealing workers that
+/// share their pruning bound; per-worker winners fold with
+/// [`fold_partials`], so the result is bit-identical to the sequential scan
+/// regardless of schedule, and with `cfg.prune` off it is bit-identical to
+/// the exhaustive reference.
 #[must_use]
 pub fn best_combination_stats<const H: usize>(
     tumor: &BitMatrix,
@@ -1039,7 +919,8 @@ pub fn best_combination_stats<const H: usize>(
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
 ) -> (Scored<H>, ScanStats) {
-    best_combination_seeded(tumor, normal, tumor_mask, cfg, 0)
+    let (bests, stats) = scan_range(tumor, normal, tumor_mask, cfg, 0, || Scored::NEG_INFINITY);
+    (fold_partials(bests), stats)
 }
 
 /// Resolve [`GreedyConfig::sparse`] for a scan over these matrices: build
@@ -1060,27 +941,30 @@ fn build_skip(
     (mode == SparseMode::On || frac >= SPARSE_AUTO_THRESHOLD).then_some((ts, ns))
 }
 
-/// [`best_combination_stats`] with the shared pruning bound *seeded*.
+/// Walk all `C(G,H)` combinations into one sink per worker.
 ///
-/// `seed_score` must be a score some combination of the **current**
-/// matrices actually achieves (e.g. the previous iteration's global floor
-/// after rescoring) or 0: the shared cut drops subtrees whose bound is
-/// strictly below it, which is exact only when a real combination
-/// witnesses the seed. Seeding never changes the returned argmax — it
-/// only lets the scan start hot instead of from zero.
-#[must_use]
-pub fn best_combination_seeded<const H: usize>(
+/// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
+/// one worker per core; each worker threads its own sink through the
+/// (colex-ascending) blocks it takes and, when pruning, publishes the
+/// sink's floor to a shared atomic that tightens every worker's cut.
+///
+/// `seed` hot-starts that shared bound. It must be a floor the **current**
+/// matrices witness — as many combinations scoring at least `seed` as a
+/// sink holds when full (one for the argmax, K for a top-K) — or 0: the
+/// shared cut drops subtrees whose bound is strictly below it. Seeding never
+/// changes what the sinks end up holding, only how soon the cut bites.
+fn scan_range<const H: usize, S: Sink<H> + Send>(
     tumor: &BitMatrix,
     normal: &BitMatrix,
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
-    seed_score: u64,
-) -> (Scored<H>, ScanStats) {
-    let g = tumor.n_genes() as u64;
-    let total = binomial(g, H as u64);
+    seed: u64,
+    new_sink: impl Fn() -> S + Sync,
+) -> (Vec<S>, ScanStats) {
+    let total = binomial(tumor.n_genes() as u64, H as u64);
     let mut stats = ScanStats::default();
     if total == 0 {
-        return (Scored::NEG_INFINITY, stats);
+        return (Vec::new(), stats);
     }
     // Never spawn more workers than there are min-grain blocks of work.
     let workers = if cfg.parallel {
@@ -1102,65 +986,49 @@ pub fn best_combination_seeded<const H: usize>(
         }
         sc
     };
-    if workers == 1 {
-        let mut sc = make_scanner(0);
-        let best = if cfg.prune {
-            let shared = (seed_score > 0).then(|| AtomicU64::new(seed_score));
-            sc.scan_pruned(total, Scored::NEG_INFINITY, shared.as_ref(), &mut stats)
-        } else {
-            stats.scored = total;
-            sc.scan(total)
-        };
-        stats.blocks = 1;
-        stats.scanner_builds = 1;
-        stats.words_skipped = sc.words_skipped();
-        stats.block_sweeps = sc.block_sweeps();
-        stats.swept_rows = sc.swept_rows();
-        return (best, stats);
-    }
-    // Align λ-boundaries to the sweep chunk so block handoffs land on
-    // whole sweep-kernel chunks (ragged tails only at run/range ends).
-    let align = if cfg.block_sweep {
-        kernel::SWEEP_BLOCK as u64
+    // A lone worker takes the whole range as one block.
+    let min_grain = if workers == 1 {
+        total
     } else {
-        1
+        par::DEFAULT_MIN_GRAIN
     };
-    let queue = BlockQueue::with_grain_aligned(total, workers, par::DEFAULT_MIN_GRAIN, align);
-    let shared = AtomicU64::new(seed_score);
+    let queue = BlockQueue::with_grain(total, workers, min_grain);
+    // Only when somebody reads it: on a lone unseeded worker the bound is a
+    // `fetch_max` per floor rise and a load per bound check for nothing
+    // (luad_h4/wall_s +2.8 % when always on, 6 of 6 rotations).
+    let shared = (cfg.prune && (workers > 1 || seed > 0)).then(|| AtomicU64::new(seed));
     let results = par::run_workers(workers, |_| {
-        let mut local = Scored::NEG_INFINITY;
+        let mut sink = new_sink();
         let mut st = ScanStats::default();
         // One scanner per worker, re-seeked across stolen blocks: block
         // turnover must not re-allocate the per-level partial buffers.
         let mut scanner: Option<ComboScanner<H>> = None;
         while let Some((lo, hi)) = queue.next() {
             st.blocks += 1;
-            if let Some(sc) = scanner.as_mut() {
-                sc.reseek(lo);
-            } else {
-                scanner = Some(make_scanner(lo));
-                st.scanner_builds += 1;
-            }
-            let sc = scanner.as_mut().expect("scanner just ensured");
-            if cfg.prune {
-                local = sc.scan_pruned(hi - lo, local, Some(&shared), &mut st);
-            } else {
-                st.scored += hi - lo;
-                local = local.max_det(sc.scan(hi - lo));
-            }
+            let sc = match scanner.as_mut() {
+                Some(sc) => {
+                    sc.reseek(lo);
+                    sc
+                }
+                None => {
+                    st.scanner_builds += 1;
+                    scanner.insert(make_scanner(lo))
+                }
+            };
+            sc.walk(hi - lo, &mut sink, cfg.prune, shared.as_ref(), &mut st);
         }
         if let Some(sc) = &scanner {
-            st.words_skipped += sc.words_skipped();
-            st.block_sweeps += sc.block_sweeps();
-            st.swept_rows += sc.swept_rows();
+            st.words_skipped = sc.words_skipped();
+            st.block_sweeps = sc.block_sweeps();
+            st.swept_rows = sc.swept_rows();
         }
-        if st.blocks > 0 {
-            st.steals = st.blocks - 1;
-        }
-        (local, st)
+        st.steals = st.blocks.saturating_sub(1);
+        (sink, st)
     });
-    for (_, st) in &results {
-        stats.merge(st);
+    let mut sinks = Vec::with_capacity(results.len());
+    for (sink, st) in results {
+        stats.merge(&st);
+        sinks.push(sink);
     }
     // Block churn must never re-allocate scanners: one build per worker.
     debug_assert!(
@@ -1168,8 +1036,7 @@ pub fn best_combination_seeded<const H: usize>(
         "{} scanner builds for {workers} workers",
         stats.scanner_builds
     );
-    let best = fold_partials(results.into_iter().map(|(b, _)| b));
-    (best, stats)
+    (sinks, stats)
 }
 
 /// Full scan that also *builds* the lazy-greedy frontier: the global
@@ -1192,89 +1059,10 @@ pub fn best_combination_frontier<const H: usize>(
     cfg: &GreedyConfig,
     seed_floor: u64,
 ) -> (Scored<H>, ScanStats, Frontier<H>) {
-    let g = tumor.n_genes() as u64;
-    let total = binomial(g, H as u64);
     let k = cfg.frontier_k;
-    let mut stats = ScanStats::default();
-    if total == 0 {
-        return (Scored::NEG_INFINITY, stats, Frontier::new(Vec::new(), 0));
-    }
-    let workers = if cfg.parallel {
-        let cap = usize::try_from(total.div_ceil(par::DEFAULT_MIN_GRAIN)).unwrap_or(usize::MAX);
-        par::default_workers().min(cap).max(1)
-    } else {
-        1
-    };
-    let skip = build_skip(cfg.sparse, tumor, normal);
-    let make_scanner = |start: u64| {
-        let mut sc = match &skip {
-            Some((ts, ns)) => {
-                ComboScanner::<H>::with_skip(tumor, normal, tumor_mask, cfg.alpha, start, (ts, ns))
-            }
-            None => ComboScanner::<H>::new(tumor, normal, tumor_mask, cfg.alpha, start),
-        };
-        if !cfg.block_sweep {
-            sc.set_sweep_width(1);
-        }
-        sc
-    };
-    if workers == 1 {
-        let mut acc = TopK::new(k);
-        let mut sc = make_scanner(0);
-        let shared = (seed_floor > 0).then(|| AtomicU64::new(seed_floor));
-        sc.scan_topk(total, &mut acc, cfg.prune, shared.as_ref(), &mut stats);
-        stats.blocks = 1;
-        stats.scanner_builds = 1;
-        stats.words_skipped = sc.words_skipped();
-        stats.block_sweeps = sc.block_sweeps();
-        stats.swept_rows = sc.swept_rows();
-        let fr = Frontier::new(acc.into_sorted(), total);
-        return (fr.best(), stats, fr);
-    }
-    // Align λ-boundaries to the sweep chunk so block handoffs land on
-    // whole sweep-kernel chunks (ragged tails only at run/range ends).
-    let align = if cfg.block_sweep {
-        kernel::SWEEP_BLOCK as u64
-    } else {
-        1
-    };
-    let queue = BlockQueue::with_grain_aligned(total, workers, par::DEFAULT_MIN_GRAIN, align);
-    let shared = AtomicU64::new(seed_floor);
-    let results = par::run_workers(workers, |_| {
-        let mut acc = TopK::new(k);
-        let mut st = ScanStats::default();
-        let mut scanner: Option<ComboScanner<H>> = None;
-        while let Some((lo, hi)) = queue.next() {
-            st.blocks += 1;
-            if let Some(sc) = scanner.as_mut() {
-                sc.reseek(lo);
-            } else {
-                scanner = Some(make_scanner(lo));
-                st.scanner_builds += 1;
-            }
-            let sc = scanner.as_mut().expect("scanner just ensured");
-            sc.scan_topk(hi - lo, &mut acc, cfg.prune, Some(&shared), &mut st);
-        }
-        if let Some(sc) = &scanner {
-            st.words_skipped += sc.words_skipped();
-            st.block_sweeps += sc.block_sweeps();
-            st.swept_rows += sc.swept_rows();
-        }
-        if st.blocks > 0 {
-            st.steals = st.blocks - 1;
-        }
-        (acc.into_sorted(), st)
-    });
-    let mut shards = Vec::with_capacity(results.len());
-    for (shard, st) in results {
-        stats.merge(&st);
-        shards.push(shard);
-    }
-    debug_assert!(
-        stats.scanner_builds <= workers as u64,
-        "{} scanner builds for {workers} workers",
-        stats.scanner_builds
-    );
+    let (accs, stats) = scan_range(tumor, normal, tumor_mask, cfg, seed_floor, || TopK::new(k));
+    let shards: Vec<_> = accs.into_iter().map(TopK::into_sorted).collect();
+    let total = binomial(tumor.n_genes() as u64, H as u64);
     let fr = Frontier::from_shards(&shards, k, total);
     (fr.best(), stats, fr)
 }
@@ -1309,9 +1097,13 @@ pub fn scan_slab4(
     // must not trip the scanner's `H <= G` precondition.
     let mut scanner: Option<ComboScanner<4>> = None;
     scheme.for_each_colex_range(lo, hi, tumor.n_genes() as u32, |range| {
-        let sc = scanner
-            .get_or_insert_with(|| ComboScanner::new(tumor, normal, None, alpha, range.start));
-        sc.reseek(range.start);
+        let sc = match scanner.as_mut() {
+            Some(sc) => {
+                sc.reseek(range.start);
+                sc
+            }
+            None => scanner.insert(ComboScanner::new(tumor, normal, None, alpha, range.start)),
+        };
         sc.scan_topk(range.end - range.start, &mut acc, true, None, &mut stats);
     });
     if let Some(sc) = &scanner {
@@ -2064,23 +1856,22 @@ mod tests {
     #[test]
     fn seeded_scan_matches_unseeded() {
         let (t, n) = lcg_matrices(12, 100, 50, 47);
-        let cfg = GreedyConfig {
+        let serial = GreedyConfig {
             parallel: false,
+            frontier_k: 1,
             ..GreedyConfig::default()
         };
-        let (want, _) = best_combination_stats::<3>(&t, &n, None, &cfg);
+        let (want, _) = best_combination_stats::<3>(&t, &n, None, &serial);
         // Any achieved score is a sound seed, including the argmax's own.
         let weaker = score_combo(&t, &n, &[0, 1, 2], Alpha::PAPER);
-        for seed in [0, weaker.score, want.score] {
-            let (got, _) = best_combination_seeded::<3>(&t, &n, None, &cfg, seed);
-            assert_eq!(got, want, "seed={seed}");
+        for parallel in [false, true] {
+            let cfg = GreedyConfig { parallel, ..serial };
+            for seed in [0, weaker.score, want.score] {
+                let (got, _, fr) = best_combination_frontier::<3>(&t, &n, None, &cfg, seed);
+                assert_eq!(got, want, "seed={seed} parallel={parallel}");
+                assert_eq!(fr.entries(), [want], "seed={seed} parallel={parallel}");
+            }
         }
-        let par = GreedyConfig {
-            parallel: true,
-            ..GreedyConfig::default()
-        };
-        let (got, _) = best_combination_seeded::<3>(&t, &n, None, &par, want.score);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -2373,6 +2164,69 @@ mod tests {
         );
         assert!((m.rows_per_sweep() - 16.0 / 14.0).abs() < 1e-12);
         assert_eq!(ScanStats::default().rows_per_sweep(), 0.0);
+    }
+
+    /// `(scored, pruned_subtrees, pruned_combos)` of every pruned scan shape
+    /// at one sweep width: the argmax scan, the same scan under a shared
+    /// bound already at the argmax's score, and the top-K scan (K = 1, 4,
+    /// 64) over a range split between two scanners feeding one accumulator.
+    fn cut_counts<const H: usize>(g: usize, seed: u64, width: usize) -> Vec<(u64, u64, u64)> {
+        let (t, n) = lcg_matrices(g, 130, 70, seed);
+        let total = binomial(g as u64, H as u64);
+        let scanner = |start: u64| {
+            let mut sc = ComboScanner::<H>::new(&t, &n, None, Alpha::PAPER, start);
+            sc.set_sweep_width(width);
+            sc
+        };
+        let triple = |st: &ScanStats| (st.scored, st.pruned_subtrees, st.pruned_combos);
+        let mut out = Vec::new();
+        let mut st = ScanStats::default();
+        let best = scanner(0).scan_pruned(total, Scored::NEG_INFINITY, None, &mut st);
+        out.push(triple(&st));
+        let shared = AtomicU64::new(best.score);
+        let mut st = ScanStats::default();
+        let _ = scanner(0).scan_pruned(total, Scored::NEG_INFINITY, Some(&shared), &mut st);
+        out.push(triple(&st));
+        let split = total / 3 + 1;
+        for k in [1usize, 4, 64] {
+            let mut acc = TopK::new(k);
+            let mut st = ScanStats::default();
+            scanner(0).scan_topk(split, &mut acc, true, None, &mut st);
+            scanner(split).scan_topk(total - split, &mut acc, true, None, &mut st);
+            out.push(triple(&st));
+        }
+        out
+    }
+
+    #[test]
+    fn cut_decisions_are_pinned() {
+        // Recorded from the three separate scan loops that `walk` replaced:
+        // a traversal that finds the right winners while cutting other
+        // subtrees fails here. Sweeping and stepping must cut identically.
+        for width in [1usize, kernel::SWEEP_BLOCK] {
+            assert_eq!(
+                cut_counts::<3>(30, 7, width),
+                [
+                    (2806, 103, 1254),
+                    (2663, 128, 1397),
+                    (2806, 103, 1254),
+                    (3430, 56, 630),
+                    (3922, 11, 138)
+                ],
+                "H=3 width={width}"
+            );
+            assert_eq!(
+                cut_counts::<4>(16, 11, width),
+                [
+                    (893, 233, 927),
+                    (783, 276, 1037),
+                    (901, 232, 919),
+                    (1139, 174, 681),
+                    (1773, 22, 47)
+                ],
+                "H=4 width={width}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct BlockQueue {
     total: u64,
     workers: u64,
     min_grain: u64,
-    align: u64,
     blocks: AtomicU64,
 }
 
@@ -58,22 +57,11 @@ impl BlockQueue {
     /// Queue with an explicit minimum grain (clamped to ≥ 1).
     #[must_use]
     pub fn with_grain(total: u64, workers: usize, min_grain: u64) -> Self {
-        Self::with_grain_aligned(total, workers, min_grain, 1)
-    }
-
-    /// [`Self::with_grain`] with block boundaries rounded *up* to multiples
-    /// of `align` (the final block still ends exactly at `total`). The
-    /// block-swept scan aligns λ-boundaries to [`crate::kernel::SWEEP_BLOCK`]
-    /// so a worker's last level-0 run is cut at a sweep-chunk multiple
-    /// instead of leaving a ragged sub-chunk tail on every block handoff.
-    #[must_use]
-    pub fn with_grain_aligned(total: u64, workers: usize, min_grain: u64, align: u64) -> Self {
         BlockQueue {
             cursor: AtomicU64::new(0),
             total,
             workers: workers.max(1) as u64,
             min_grain: min_grain.max(1),
-            align: align.max(1),
             blocks: AtomicU64::new(0),
         }
     }
@@ -90,16 +78,7 @@ impl BlockQueue {
             let grain = (remaining / (self.workers * GUIDED_DIVISOR))
                 .max(self.min_grain)
                 .min(remaining);
-            let mut end = cur + grain;
-            if self.align > 1 {
-                // Round the boundary up so every non-final block is a whole
-                // number of alignment units (blocks start aligned because
-                // their predecessors end aligned).
-                end = end
-                    .div_ceil(self.align)
-                    .saturating_mul(self.align)
-                    .min(self.total);
-            }
+            let end = cur + grain;
             if self
                 .cursor
                 .compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed)
@@ -244,25 +223,6 @@ mod tests {
             sum
         });
         assert_eq!(covered.iter().sum::<u64>(), 100_000);
-    }
-
-    #[test]
-    fn aligned_queue_partitions_on_multiples() {
-        for (total, align) in [(10_000u64, 16u64), (10_007, 16), (15, 16), (1, 8)] {
-            let q = BlockQueue::with_grain_aligned(total, 4, 100, align);
-            let mut last_hi = 0u64;
-            while let Some((lo, hi)) = q.next() {
-                assert!(lo < hi);
-                assert_eq!(lo, last_hi, "gap or overlap");
-                assert_eq!(lo % align, 0, "block start unaligned");
-                assert!(
-                    hi % align == 0 || hi == total,
-                    "interior boundary unaligned"
-                );
-                last_hi = hi;
-            }
-            assert_eq!(last_hi, total, "range not fully covered");
-        }
     }
 
     #[test]
