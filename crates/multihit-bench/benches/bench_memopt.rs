@@ -22,7 +22,7 @@ fn cohort(g: usize) -> (multihit_core::BitMatrix, multihit_core::BitMatrix) {
     (c.tumor, c.normal)
 }
 
-fn bench_scan_levels(c: &mut Criterion) {
+fn bench_prefetch_levels(c: &mut Criterion) {
     let (t, n) = cohort(120);
     let mut g = c.benchmark_group("fig5_scan_3hit_g120");
     g.sample_size(20);
@@ -64,5 +64,5 @@ fn bench_bitsplicing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scan_levels, bench_bitsplicing);
+criterion_group!(benches, bench_prefetch_levels, bench_bitsplicing);
 criterion_main!(benches);

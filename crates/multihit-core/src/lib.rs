@@ -29,9 +29,6 @@
 //! * [`kernelize`] — exact instance reduction (dominated/useless genes,
 //!   removable sample columns) with a certificate mapping reduced results
 //!   back to original indices;
-//! * [`naive`] — the uncompressed byte-matrix baseline (§II-C comparator);
-//! * [`setcover`] — the generic weighted-set-cover greedy the multi-hit
-//!   problem maps to (§II-B);
 //! * [`obs`] — dependency-free observability: spans, counters, a JSON-lines
 //!   event stream, and the [`obs::RunReport`] aggregate consumers build
 //!   from it.
@@ -57,12 +54,10 @@ pub mod greedy;
 pub mod kernel;
 pub mod kernelize;
 pub mod memopt;
-pub mod naive;
 pub mod obs;
 pub mod par;
 pub mod reduce;
 pub mod schemes;
-pub mod setcover;
 pub mod sweep;
 pub mod weight;
 

@@ -887,7 +887,8 @@ pub struct ServeReport {
     pub stale_evictions: u64,
     /// Scoring batches executed.
     pub batches: u64,
-    /// Samples scored across all batches.
+    /// Requests drained into batches, cache hits included (the sum of the
+    /// `serve_batch` points' `batch_size`).
     pub batched_samples: u64,
     /// Configured batch-size ceiling (denominator of [`Self::mean_batch_fill`]).
     pub batch_max: u64,

@@ -28,8 +28,8 @@
 //!   kernels, bit-identical to scalar classification.
 //! * [`tcp`] — event-loop front end: one reactor thread multiplexes
 //!   1k+ non-blocking connections over both wire protocols.
-//! * [`loadgen`] — load generator producing `BENCH_serve.json` and the
-//!   CI gate's lost/divergent/shed invariants, in-process and over TCP.
+//! * [`loadgen`] — load generator checking the CI gate's
+//!   lost/divergent/shed invariants, in-process and over TCP.
 
 pub mod admission;
 pub mod cache;

@@ -123,10 +123,15 @@ mod sys {
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: takes no pointers; a negative return is turned into an
+            // error by `cvt`, so `epfd` is an fd this call created and owns.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+            // SAFETY: takes no pointers; as above, `wake_fd` is owned on Ok.
             let wake_fd = match cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) }) {
                 Ok(fd) => fd,
                 Err(e) => {
+                    // SAFETY: `epfd` was created above, no `Poller` holds it
+                    // yet, and it is closed exactly once on this path.
                     unsafe { close(epfd) };
                     return Err(e);
                 }
@@ -141,6 +146,10 @@ mod sys {
                 events,
                 data: token,
             };
+            // SAFETY: `self.epfd` is open for as long as `self` lives, and
+            // `ev` is a live `EpollEvent` of the kernel's layout that the
+            // call only reads for its duration. A bad `fd` is an `EBADF`
+            // return, not undefined behaviour.
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
         }
 
@@ -159,8 +168,12 @@ mod sys {
         pub fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
             out.clear();
             const CAP: usize = 512;
+            // SAFETY: `EpollEvent` is two plain integers; all-zero bytes are
+            // a valid value of it.
             let mut events: [EpollEvent; CAP] = unsafe { std::mem::zeroed() };
             let n = loop {
+                // SAFETY: `events` has room for exactly the `CAP` entries the
+                // kernel is told it may write, and `self.epfd` is open.
                 let r =
                     unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), CAP as i32, timeout_ms) };
                 if r >= 0 {
@@ -178,6 +191,8 @@ mod sys {
                 if token == WAKE_TOKEN {
                     // Drain the eventfd counter so level-triggering quiesces.
                     let mut buf = [0u8; 8];
+                    // SAFETY: `buf` is 8 writable bytes, the count passed;
+                    // `self.wake_fd` is the eventfd `self` owns.
                     unsafe { read(self.wake_fd, buf.as_mut_ptr(), 8) };
                 }
                 out.push(PollEvent {
@@ -197,6 +212,9 @@ mod sys {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: both fds were created in `new`, are owned by `self`
+            // alone (`Waker` copies the number, not the ownership), and
+            // `drop` runs once, so each is closed exactly once.
             unsafe {
                 close(self.wake_fd);
                 close(self.epfd);
@@ -215,6 +233,9 @@ mod sys {
     impl Waker {
         pub fn wake(&self) {
             let one = 1u64.to_ne_bytes();
+            // SAFETY: `one` is 8 readable bytes, the count passed. Memory
+            // safety does not depend on `self.fd` still being open: once the
+            // `Poller` has closed it the call fails with `EBADF`.
             unsafe { write(self.fd, one.as_ptr(), 8) };
         }
     }

@@ -583,9 +583,6 @@ fn worker_loop(
                 }
             }
             let verdicts = panel.classifier.classify_batch(&m);
-            stats
-                .batched_samples
-                .fetch_add(misses.len() as u64, Ordering::Relaxed);
             for ((key, job), tumor) in misses.into_iter().zip(verdicts) {
                 cache.insert(key, tumor);
                 respond_ok(&job, tumor, false, stats, obs, &mut batch_latencies);
@@ -596,6 +593,9 @@ fn worker_loop(
         }
         let score_ns = u64::try_from(score_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats
+            .batched_samples
+            .fetch_add(batch_size, Ordering::Relaxed);
         obs.counter_add("serve.batches", 1);
         obs.point(
             "serve_batch",
@@ -786,6 +786,7 @@ impl InProcClient {
 mod tests {
     use super::*;
     use crate::loadgen::synth_results;
+    use multihit_core::obs::RunReport;
 
     fn small_server(cfg: ServeConfig) -> (Arc<Server>, Obs) {
         let obs = Obs::enabled();
@@ -815,6 +816,27 @@ mod tests {
         assert_eq!(report.ok, 200);
         assert_eq!(report.shed, 0);
         assert!(report.cache_hits > 0, "repeat signatures should hit cache");
+    }
+
+    #[test]
+    fn batch_fill_agrees_between_report_and_event_stream_on_a_cache_hot_run() {
+        // One signature asked 50 times: a warm-up miss, then every request
+        // a cache hit. Occupancy counts drained requests, not scored misses,
+        // whichever side it is read from.
+        let (server, obs) = small_server(ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        });
+        let client = InProcClient::new(Arc::clone(&server));
+        let genes = vec!["G0".to_string(), "G1".to_string()];
+        for _ in 0..50 {
+            client.classify("P", &genes).expect("lost response");
+        }
+        let report = server.shutdown();
+        assert_eq!(report.cache_hits, 49);
+        assert_eq!(report.batched_samples, 50);
+        let folded = RunReport::from_events(&obs.events()).serve;
+        assert!((report.mean_batch_fill() - folded.mean_batch_fill()).abs() < 1e-12);
     }
 
     #[test]

@@ -127,10 +127,12 @@ fn missing_arguments_are_reported() {
 }
 
 #[test]
-fn loadgen_smoke_is_clean_and_writes_bench_json() {
+fn loadgen_smoke_is_clean() {
+    // Run from an empty working directory: the summary goes to stdout and
+    // nothing may be left behind.
     let dir = tempdir("loadgen");
-    let bench = dir.join("BENCH_serve.json");
     let out = bin()
+        .current_dir(&dir)
         .args([
             "loadgen",
             "--clients",
@@ -141,9 +143,7 @@ fn loadgen_smoke_is_clean_and_writes_bench_json() {
             "128",
             "--seed",
             "5",
-            "--out",
         ])
-        .arg(&bench)
         .output()
         .unwrap();
     assert!(
@@ -154,21 +154,65 @@ fn loadgen_smoke_is_clean_and_writes_bench_json() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("lost\t0"), "{stdout}");
     assert!(stdout.contains("divergent\t0"), "{stdout}");
-    let json = std::fs::read_to_string(&bench).unwrap();
-    for key in [
-        "\"bench\":\"serve\"",
-        "\"requests\":3000",
-        "\"lost\":0",
-        "\"divergent\":0",
-        "p50_latency_ns",
-        "p95_latency_ns",
-        "p99_latency_ns",
-        "cache_hit_rate",
-        "throughput_rps",
-        "\"shed\":",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
+    let phase = stdout
+        .lines()
+        .find(|l| l.starts_with("inproc\t"))
+        .unwrap_or_else(|| panic!("no per-phase summary in {stdout}"));
+    assert!(phase.contains("\t3000 ok\t0 shed\t"), "{phase}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "loadgen left {left:?} behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forced_scalar_stepping_scan_writes_the_same_panel() {
+    // The only whole-scan run on the scalar kernels on an AVX host. Each
+    // `discover` is its own process, so the global `kernel::force_scalar`
+    // pin cannot race another test.
+    let dir = tempdir("scalar");
+    let out = bin()
+        .args(["synth", "--out-dir"])
+        .arg(&dir)
+        .args([
+            "--genes", "30", "--hits", "3", "--combos", "2", "--seed", "9",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "synth failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Returns the TSV bytes and the run summary `--metrics-out` turns on.
+    let discover = |extra: &[&str], name: &str| -> (Vec<u8>, String) {
+        let tsv = dir.join(name);
+        let out = bin()
+            .args(["discover", "--hits", "3", "--tumor"])
+            .arg(dir.join("tumor.maf"))
+            .arg("--normal")
+            .arg(dir.join("normal.maf"))
+            .args(extra)
+            .arg("--out")
+            .arg(&tsv)
+            .arg("--metrics-out")
+            .arg(dir.join("metrics.jsonl"))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "discover {extra:?} failed: {stderr}");
+        (std::fs::read(&tsv).unwrap(), stderr)
+    };
+    let (fast, _) = discover(&[], "A.tsv");
+    let (scalar, summary) = discover(&["--scan", "scalar", "--no-block-sweep"], "B.tsv");
+    assert!(summary.contains("scan: kernel scalar,"), "{summary}");
+    assert!(
+        fast.iter().filter(|&&b| b == b'\n').count() > 3,
+        "no combinations discovered"
+    );
+    assert_eq!(fast, scalar, "scalar stepping scan diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
