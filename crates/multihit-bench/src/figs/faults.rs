@@ -11,7 +11,7 @@ use multihit_cluster::driver::{
 use multihit_cluster::fault::{FaultPlan, FaultState, FtParams};
 use multihit_cluster::timing::FailureModel;
 use multihit_cluster::topology::ClusterShape;
-use multihit_core::obs::Obs;
+use multihit_core::obs::{Obs, RunReport};
 use multihit_data::synth::{generate, CohortSpec};
 
 /// Modeled failure and checkpoint overhead for the BRCA 4-hit production
@@ -189,22 +189,15 @@ pub fn tbl_elastic() -> Vec<Table> {
             FtParams::fast_test(),
             &obs,
         );
-        let counters = obs.counters();
+        let report = RunReport::from_events(&obs.events());
+        let moved_area: u64 = report.memberships.iter().map(|m| m.moved_area).sum();
         r.row(&[
             plan.to_string(),
             format!("{:?}", ft.recovery.dead_ranks),
             format!("{:?}", ft.recovery.joined_ranks),
             ft.recovery.membership_epochs.to_string(),
-            counters
-                .get("elastic.moved_slab_area")
-                .copied()
-                .unwrap_or(0)
-                .to_string(),
-            counters
-                .get("elastic.frontier_records_moved")
-                .copied()
-                .unwrap_or(0)
-                .to_string(),
+            moved_area.to_string(),
+            report.frontier_records_moved().to_string(),
             ft.recovery.re_executed_iterations.to_string(),
             (ft.result.combinations == reference.combinations).to_string(),
         ]);

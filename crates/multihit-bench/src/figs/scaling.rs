@@ -116,7 +116,7 @@ pub fn fig8() -> Vec<Table> {
             format!("{:.3}", idle[r]),
         ]);
     }
-    let flat_comm = report.counters.get("model.comm_ns").copied().unwrap_or(0) as f64 / 1e9;
+    let flat_comm = obs.sum("model_iter", "comm_ns") as f64 / 1e9;
     let max = comp.iter().cloned().fold(0.0f64, f64::max);
     let min = comp.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = comp.iter().sum::<f64>() / ranks as f64;

@@ -195,13 +195,6 @@ pub fn run_report_tables(report: &RunReport) -> Vec<Table> {
         out.push(t);
         out.push(s);
     }
-    if !report.counters.is_empty() {
-        let mut t = Table::new("Run report — counters", &["counter", "value"]);
-        for (k, v) in &report.counters {
-            t.row(&[k.clone(), v.to_string()]);
-        }
-        out.push(t);
-    }
     out
 }
 
@@ -252,14 +245,12 @@ mod tests {
                 ("comm_ns", Value::U64(10)),
             ],
         );
-        obs.counter_add("greedy.iterations", 1);
         let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
         let tables = run_report_tables(&report);
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].rows.len(), 1);
         assert_eq!(tables[0].rows[0][2], "1000");
         assert!(tables[1].rows[0][4].starts_with("90.00%"));
-        assert!(tables[3].rows.iter().any(|r| r[0] == "greedy.iterations"));
     }
 
     #[test]

@@ -280,9 +280,6 @@ impl CheckpointStore {
                 }
             }
         }
-        if self.obs.is_enabled() {
-            self.obs.counter_add("ckpt.saves", 1);
-        }
         Ok(())
     }
 
@@ -315,7 +312,6 @@ impl CheckpointStore {
                     ("error", err.as_str().into()),
                 ],
             );
-            self.obs.counter_add("recovery.ckpt_fallbacks", 1);
         }
         Ok(fallback)
     }
@@ -417,8 +413,6 @@ pub fn run_with_checkpoints_obs<F: FnMut(&Checkpoint)>(
                     ("remaining", u64::from(ckpt.remaining()).into()),
                 ],
             );
-            obs.counter_add("checkpoint.saves", 1);
-            obs.counter_add("checkpoint.save_ns", save_ns);
         }
     }
     ckpt
@@ -428,6 +422,7 @@ pub fn run_with_checkpoints_obs<F: FnMut(&Checkpoint)>(
 mod tests {
     use super::*;
     use multihit_core::greedy::{discover, Exclusion};
+    use multihit_core::obs::RunReport;
 
     fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
         let mut state = seed | 1;
@@ -647,7 +642,7 @@ mod tests {
         store.save(&c, Some(&st)).unwrap(); // save 3: bit-flipped on disk
         assert_eq!(store.load().unwrap().chosen.len(), 2, "fell back to save 2");
         assert_eq!(st.fired().len(), 2, "both fault kinds fired in one plan");
-        assert_eq!(obs.counters().get("recovery.ckpt_fallbacks"), Some(&2));
+        assert_eq!(RunReport::from_events(&obs.events()).ckpt_fallbacks(), 2);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

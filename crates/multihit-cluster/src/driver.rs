@@ -24,7 +24,7 @@ use multihit_core::bitmat::BitMatrix;
 use multihit_core::combin::binomial;
 use multihit_core::frontier::{self, Frontier};
 use multihit_core::greedy::{scan_slab4, ScanStats};
-use multihit_core::kernelize::{kernelize, ReductionCert};
+use multihit_core::kernelize::{emit_kernelize_obs, kernelize, ReductionCert};
 use multihit_core::obs::Obs;
 use multihit_core::par::{default_workers, par_map_indexed, StealStats};
 use multihit_core::reduce::{fold_partials, merge_top_k};
@@ -99,8 +99,7 @@ impl SchedulerKind {
 
     /// [`SchedulerKind::partitions`] with observability: wall time of the
     /// scheduler itself (`partition_ns`) plus the EA-area imbalance of the
-    /// partitioning it produced, as a `sched_partition` point and `sched.*`
-    /// counters.
+    /// partitioning it produced, as a `sched_partition` point.
     #[must_use]
     pub fn partitions_obs(
         self,
@@ -125,9 +124,6 @@ impl SchedulerKind {
                     ("imbalance", imbalance.into()),
                 ],
             );
-            obs.counter_add("sched.calls", 1);
-            obs.counter_add("sched.partition_ns", partition_ns);
-            obs.gauge_set("sched.imbalance", imbalance);
         }
         partitions
     }
@@ -288,7 +284,12 @@ struct DistFrontier {
 /// "preprocess on the driver, ship the certificate". Every rank checks the
 /// received certificate against the root's (the simulation shares memory;
 /// the assert stands in for the MPI-world invariant that all ranks reduce
-/// identically). Emits the `kernelize` point/counters via the core module.
+/// identically). Emits the `kernelize` point via the core module, plus a
+/// `cert_broadcast` point carrying the certificate's wire size.
+///
+/// # Panics
+/// Panics, naming the rank, if a rank receives a malformed or diverging
+/// certificate.
 fn kernelize_broadcast(
     tumor: &BitMatrix,
     normal: &BitMatrix,
@@ -304,41 +305,14 @@ fn kernelize_broadcast(
         ctx.broadcast((ctx.rank == 0).then(|| bytes_ref.clone()))
     });
     for (rank, got) in received.iter().enumerate() {
-        assert_eq!(
-            ReductionCert::from_bytes(got),
-            cert,
-            "rank {rank} received a diverging certificate"
-        );
+        match ReductionCert::from_bytes(got) {
+            Ok(got) => assert_eq!(got, cert, "rank {rank} received a diverging certificate"),
+            Err(e) => panic!("rank {rank} received a malformed certificate: {e}"),
+        }
     }
-    let kernelize_ns = elapsed_ns(start);
+    emit_kernelize_obs(obs, &cert, elapsed_ns(start));
     drop(span);
-    if obs.is_enabled() {
-        let s = cert.stats();
-        obs.point(
-            "kernelize",
-            &[
-                ("kernelize_ns", kernelize_ns.into()),
-                ("orig_genes", u64::from(s.orig_genes).into()),
-                ("kept_genes", u64::from(s.kept_genes).into()),
-                ("useless_genes", u64::from(s.useless_genes).into()),
-                ("dominated_genes", u64::from(s.dominated_genes).into()),
-                ("zero_tumor_cols", u64::from(s.zero_tumor_cols).into()),
-                ("zero_normal_cols", u64::from(s.zero_normal_cols).into()),
-                ("ones_normal_cols", u64::from(s.ones_normal_cols).into()),
-                ("forced_tumor_cols", u64::from(s.forced_tumor_cols).into()),
-                ("dup_tumor_cols", u64::from(s.dup_tumor_cols).into()),
-                ("gene_reduction", s.gene_reduction().into()),
-                ("cert_bytes", (bytes.len() as u64).into()),
-            ],
-        );
-        obs.counter_add("kernelize.runs", 1);
-        obs.counter_add("kernelize.ns", kernelize_ns);
-        obs.counter_add(
-            "kernelize.genes_removed",
-            u64::from(s.useless_genes + s.dominated_genes),
-        );
-        obs.counter_add("dist.cert_broadcast_bytes", bytes.len() as u64);
-    }
+    obs.point("cert_broadcast", &[("cert_bytes", bytes.len().into())]);
     (red_t, red_n, cert)
 }
 
@@ -568,17 +542,6 @@ fn admit_joiners(
                 ("frontier_records_moved", records_moved.into()),
             ],
         );
-        obs.counter_add("elastic.joins", admitted.len() as u64);
-        obs.counter_add("elastic.epochs", 1);
-        if moved_area > 0 {
-            obs.counter_add("elastic.moved_slab_area", moved_area);
-        }
-        if records_moved > 0 {
-            obs.counter_add("elastic.frontier_records_moved", records_moved);
-        }
-        if !incremental {
-            obs.counter_add("elastic.rejected_incremental", 1);
-        }
     }
 }
 
@@ -861,13 +824,6 @@ pub fn distributed_discover4_ft(
                             ("block_sweeps", scan.block_sweeps.into()),
                         ],
                     );
-                    obs.counter_add("dist.rank_busy_ns", busy_ns);
-                    obs.counter_add("dist.rank_comm_ns", comm_ns);
-                    obs.counter_add("dist.steal_blocks", steal.blocks);
-                    obs.counter_add("dist.steals", steal.steals);
-                    obs.counter_add("dist.block_sweeps", scan.block_sweeps);
-                    obs.counter_add("dist.scored", scan.scored);
-                    obs.counter_add("dist.pruned_combos", scan.pruned_combos);
                 }
                 match ended {
                     Ok(verdict) => RankOutcome::Done {
@@ -980,9 +936,6 @@ pub fn distributed_discover4_ft(
                         ("re_executed_combos", wasted.into()),
                     ],
                 );
-                obs.counter_add("recovery.re_executed_iterations", 1);
-                obs.counter_add("recovery.re_executed_combos", wasted);
-                obs.counter_add("recovery.dead_ranks", dead.len() as u64);
             }
             if alive.is_empty() {
                 break 'outer;
@@ -1016,28 +969,23 @@ pub fn distributed_discover4_ft(
                     ("frontier_hit", u64::from(frontier_hit).into()),
                 ],
             );
-            obs.counter_add("dist.iterations", 1);
-            if frontier_hit {
-                obs.counter_add("dist.frontier_hits", 1);
-            }
         }
     }
 
-    if obs.is_enabled() {
-        // Nonzero-only: a run in which nothing was retried shows no trace of
-        // the protocol in its counter registry.
-        let ft = &recovery.ft;
-        for (name, v) in [
-            ("ft.retrans_requests", ft.retrans_requests),
-            ("ft.retransmits", ft.retransmits),
-            ("ft.crc_failures", ft.crc_failures),
-            ("ft.duplicates", ft.duplicates),
-            ("ft.timeouts", ft.timeouts),
-        ] {
-            if v > 0 {
-                obs.counter_add(name, v);
-            }
-        }
+    // Nonzero-only: a run in which nothing was retried shows no trace of
+    // the protocol in its stream.
+    let ft = &recovery.ft;
+    if *ft != FtStats::default() {
+        obs.point(
+            "ft",
+            &[
+                ("retrans_requests", ft.retrans_requests.into()),
+                ("retransmits", ft.retransmits.into()),
+                ("crc_failures", ft.crc_failures.into()),
+                ("duplicates", ft.duplicates.into()),
+                ("timeouts", ft.timeouts.into()),
+            ],
+        );
     }
 
     FtDistResult {
@@ -1240,8 +1188,6 @@ pub fn model_run_obs(cfg: &ModelConfig, obs: &Obs) -> ModeledRun {
                     ("time_ns", secs_to_ns(time_s).into()),
                 ],
             );
-            obs.counter_add("model.iterations", 1);
-            obs.counter_add("model.comm_ns", secs_to_ns(comm_s));
             if it_idx == 0 {
                 // Per-GPU profile rows only for the representative first
                 // iteration: paper-scale fleets would otherwise dominate
@@ -1305,8 +1251,6 @@ pub fn timeline_run_obs(cfg: &ModelConfig, obs: &Obs) -> Vec<crate::des::Timelin
                             ("makespan_ns", makespan_ns.into()),
                         ],
                     );
-                    obs.counter_add("rank.busy_ns", busy_ns);
-                    obs.counter_add("rank.idle_ns", idle_ns);
                 }
                 obs.point(
                     "timeline_iter",
@@ -1397,7 +1341,6 @@ pub fn model_run_faulty(
                     ("lost_ns", secs_to_ns(lost).into()),
                 ],
             );
-            obs.counter_add("fault.node_failure", 1);
         }
     }
     let restart_s = failures.len() as f64 * fm.recovery_s;
@@ -1422,7 +1365,6 @@ pub fn model_run_faulty(
                 ),
             ],
         );
-        obs.counter_add("recovery.modeled_failures", failures.len() as u64);
     }
     FaultyModeledRun {
         base,
@@ -1687,14 +1629,7 @@ mod tests {
                     sum == 0
                 })
                 .count() as u64;
-            assert_eq!(
-                obs.counters()
-                    .get("dist.frontier_hits")
-                    .copied()
-                    .unwrap_or(0),
-                hits,
-                "{nodes} nodes"
-            );
+            assert_eq!(obs.sum("dist_iter", "frontier_hit"), hits, "{nodes} nodes");
         }
     }
 

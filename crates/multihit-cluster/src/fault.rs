@@ -358,8 +358,6 @@ impl FaultState {
                 vec![("kind", spec.kind_name().into()), ("iter", iter.into())];
             all.extend_from_slice(fields);
             self.obs.point("fault", &all);
-            self.obs
-                .counter_add(&format!("fault.{}", spec.kind_name()), 1);
         }
     }
 

@@ -9,7 +9,7 @@ use multihit_cluster::fault::{FaultPlan, FaultState, FtParams};
 use multihit_cluster::topology::ClusterShape;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::greedy::{discover, GreedyConfig};
-use multihit_core::obs::Obs;
+use multihit_core::obs::{Obs, RunReport};
 use std::time::Duration;
 
 fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
@@ -312,9 +312,6 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
             assert!(e.u64(field).is_some(), "rank_exec without {field}: {e:?}");
         }
     }
-    let counters = obs.counters();
-    assert!(counters.contains_key("dist.rank_comm_ns"));
-    assert!(counters.contains_key("dist.steal_blocks"));
     // What the ranks scored plus what their bound cut is what they audited.
     let audited: u64 = ft
         .result
@@ -323,12 +320,11 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
         .flat_map(|it| &it.combos_per_gpu)
         .sum();
     assert_eq!(
-        counters["dist.scored"] + counters["dist.pruned_combos"],
+        obs.sum("rank_exec", "scored") + obs.sum("rank_exec", "pruned_combos"),
         audited
     );
-    assert!(counters
-        .keys()
-        .all(|k| !k.starts_with("ft.") && !k.starts_with("recovery.")));
+    let report = RunReport::from_events(&events);
+    assert!(report.recoveries.is_empty() && report.retransmits() == 0);
 }
 
 /// The elastic smoke matrix: kill rank R at iteration I, admit a
@@ -358,7 +354,8 @@ fn kill_then_rejoin_matrix_stays_bit_identical() {
             assert_eq!(ft.recovery.joined_ranks, vec![rank], "{spec}");
             assert_eq!(ft.recovery.membership_epochs, 1, "{spec}");
             assert_eq!(faults.fired().len(), 2, "{spec}: kill + join must fire");
-            assert_eq!(obs.counters().get("elastic.joins"), Some(&1), "{spec}");
+            let report = RunReport::from_events(&obs.events());
+            assert_eq!(report.joined_ranks(), 1, "{spec}");
         }
     }
 }
@@ -384,20 +381,17 @@ fn scale_up_join_is_incremental_and_preserves_the_answer() {
         ft.recovery.re_executed_iterations, 0,
         "a join discards no work"
     );
-    let counters = obs.counters();
-    assert_eq!(counters.get("elastic.joins"), Some(&1));
-    assert_eq!(counters.get("elastic.epochs"), Some(&1));
+    let report = RunReport::from_events(&obs.events());
+    assert_eq!(report.joined_ranks(), 1);
+    assert_eq!(report.membership_epochs(), 1);
+    let epoch = &report.memberships[0];
     assert!(
-        counters
-            .get("elastic.moved_slab_area")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "the joiner must receive boundary slabs: {counters:?}"
+        epoch.moved_area > 0,
+        "the joiner must receive boundary slabs: {epoch:?}"
     );
     assert!(
-        !counters.contains_key("elastic.rejected_incremental"),
-        "a clean join must not degrade to a re-shard: {counters:?}"
+        epoch.incremental,
+        "a clean join must not degrade to a re-shard: {epoch:?}"
     );
 }
 
@@ -416,17 +410,12 @@ fn join_transfers_frontier_shards_instead_of_rescanning() {
     let faults = FaultState::new(plan, &obs);
     let ft = distributed_discover4_ft(&t, &n, &cfg, Some(&faults), FtParams::fast_test(), &obs);
     assert_eq!(ft.result.combinations, expect);
-    assert!(
-        obs.counters()
-            .get("elastic.frontier_records_moved")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "the joiner must inherit frontier records: {:?}",
-        obs.counters()
-    );
     // The membership point records the transfer for the report pipeline.
     let events = obs.events();
+    assert!(
+        RunReport::from_events(&events).frontier_records_moved() > 0,
+        "the joiner must inherit frontier records"
+    );
     let ev = events
         .iter()
         .find(|e| e.name == "membership")

@@ -1128,8 +1128,8 @@ pub fn discover<const H: usize>(
 /// [`discover`] with per-iteration observability.
 ///
 /// Emits one `greedy_iter` point per iteration (`scan_ns`, `combos_scored`,
-/// `combos_per_sec`, `splice_ns`, coverage progress) plus `greedy.*`
-/// counters, all under a `discover` span. With a disabled [`Obs`] the
+/// `combos_per_sec`, `splice_ns`, coverage progress), all under a
+/// `discover` span. With a disabled [`Obs`] the
 /// instrumentation is branch-only and the selected combinations are
 /// identical to [`discover`] by construction.
 #[must_use]
@@ -1263,30 +1263,6 @@ pub fn discover_obs<const H: usize>(
                     ("kernel", kernel::active().name().into()),
                 ],
             );
-            obs.counter_add("greedy.iterations", 1);
-            obs.counter_add("greedy.frontier_hits", u64::from(frontier_hit));
-            obs.counter_add("greedy.frontier_rescored", frontier_rescored);
-            obs.counter_add("greedy.full_rescans", u64::from(!frontier_hit));
-            obs.counter_add("greedy.combos_scored", combos_scored);
-            obs.counter_add("greedy.scan_scored", scan_stats.scored);
-            obs.counter_add("greedy.pruned_combos", scan_stats.pruned_combos);
-            obs.counter_add("greedy.pruned_subtrees", scan_stats.pruned_subtrees);
-            obs.counter_add("greedy.steal_blocks", scan_stats.blocks);
-            obs.counter_add("greedy.steals", scan_stats.steals);
-            obs.counter_add("greedy.words_skipped", scan_stats.words_skipped);
-            obs.counter_add("greedy.block_sweeps", scan_stats.block_sweeps);
-            obs.counter_add("greedy.swept_rows", scan_stats.swept_rows);
-            obs.counter_add(
-                match kernel::active() {
-                    kernel::Dispatch::Scalar => "greedy.dispatch_scalar",
-                    kernel::Dispatch::Avx2 => "greedy.dispatch_avx2",
-                    kernel::Dispatch::Avx512 => "greedy.dispatch_avx512",
-                },
-                1,
-            );
-            obs.counter_add("greedy.scan_ns", scan_ns);
-            obs.counter_add("greedy.splice_ns", splice_ns);
-            obs.counter_add("greedy.splice_words", splice_words);
         }
         drop(iter_span);
         iterations.push(IterationRecord {
@@ -1309,6 +1285,7 @@ pub fn discover_obs<const H: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::RunReport;
     use crate::weight::score_combo;
 
     fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
@@ -1927,12 +1904,12 @@ mod tests {
             },
             &obs,
         );
-        let c = obs.counters();
+        let report = RunReport::from_events(&obs.events());
         let iters = res.iterations.len() as u64;
         assert!(iters >= 2, "need a multi-iteration run");
-        assert_eq!(c.get("greedy.frontier_hits").copied(), Some(0));
-        assert_eq!(c.get("greedy.full_rescans").copied(), Some(iters));
-        assert_eq!(c.get("greedy.frontier_rescored").copied(), Some(iters - 1));
+        assert_eq!(report.frontier_hits(), 0);
+        assert_eq!(report.full_rescans(), iters);
+        assert_eq!(report.total_frontier_rescored(), iters - 1);
 
         // K ≥ C(G,2): the frontier is complete after iteration 1 and every
         // later iteration is a hit with zero scan work.
@@ -1947,10 +1924,10 @@ mod tests {
             },
             &obs,
         );
-        let c = obs.counters();
+        let report = RunReport::from_events(&obs.events());
         let iters = res.iterations.len() as u64;
-        assert_eq!(c.get("greedy.frontier_hits").copied(), Some(iters - 1));
-        assert_eq!(c.get("greedy.full_rescans").copied(), Some(1));
+        assert_eq!(report.frontier_hits(), iters - 1);
+        assert_eq!(report.full_rescans(), 1);
         let hit_iters: Vec<_> = obs
             .events()
             .iter()

@@ -224,16 +224,28 @@ impl ReductionCert {
 
     /// Inverse of [`Self::to_bytes`].
     ///
-    /// # Panics
-    /// Panics on a malformed payload.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> ReductionCert {
+    /// # Errors
+    /// Rejects a payload shorter than the 12-word header, or whose length
+    /// is not exactly the header plus the gene count the header declares.
+    pub fn from_bytes(bytes: &[u8]) -> Result<ReductionCert, String> {
+        if bytes.len() < 48 {
+            return Err(format!(
+                "cert truncated: {} of 48 header bytes",
+                bytes.len()
+            ));
+        }
         let word = |i: usize| {
-            u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("truncated cert"))
+            u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4-byte slice"))
         };
         let n = word(11) as usize;
-        assert_eq!(bytes.len(), 4 * (12 + n), "cert length mismatch");
-        ReductionCert {
+        let expected = n.checked_add(12).and_then(|w| w.checked_mul(4));
+        if expected != Some(bytes.len()) {
+            return Err(format!(
+                "cert length mismatch: {} bytes for {n} kept genes",
+                bytes.len()
+            ));
+        }
+        Ok(ReductionCert {
             orig_n_tumor: word(0),
             orig_n_normal: word(1),
             stats: ReductionStats {
@@ -248,7 +260,7 @@ impl ReductionCert {
                 dup_tumor_cols: word(10),
             },
             gene_map: (0..n).map(|i| word(12 + i)).collect(),
-        }
+        })
     }
 }
 
@@ -400,8 +412,7 @@ fn count_dup_columns(m: &BitMatrix, or_mask: &[u64]) -> u32 {
 
 /// Kernelized greedy discovery: reduce, run [`greedy::discover_obs`] on the
 /// reduced instance (with `cfg.kernelize` cleared to avoid recursion), and
-/// un-map the result. Emits a `kernelize` span/point plus `kernelize.*`
-/// counters.
+/// un-map the result. Emits a `kernelize` span and point.
 ///
 /// Selected panels are bit-identical to the unkernelized run by the
 /// soundness argument in the module docs; the proptest suite asserts it
@@ -440,7 +451,9 @@ pub fn discover_kernelized_obs<const H: usize>(
     cert.unmap_result(reduced, cfg.alpha)
 }
 
-fn emit_kernelize_obs(obs: &Obs, cert: &ReductionCert, kernelize_ns: u64) {
+/// Emit the `kernelize` point: the reduction's wall time plus every
+/// [`ReductionStats`] field of `cert`.
+pub fn emit_kernelize_obs(obs: &Obs, cert: &ReductionCert, kernelize_ns: u64) {
     if !obs.is_enabled() {
         return;
     }
@@ -460,16 +473,6 @@ fn emit_kernelize_obs(obs: &Obs, cert: &ReductionCert, kernelize_ns: u64) {
             ("dup_tumor_cols", u64::from(s.dup_tumor_cols).into()),
             ("gene_reduction", s.gene_reduction().into()),
         ],
-    );
-    obs.counter_add("kernelize.runs", 1);
-    obs.counter_add("kernelize.ns", kernelize_ns);
-    obs.counter_add(
-        "kernelize.genes_removed",
-        u64::from(s.useless_genes + s.dominated_genes),
-    );
-    obs.counter_add(
-        "kernelize.cols_removed",
-        u64::from(s.zero_tumor_cols + s.zero_normal_cols + s.ones_normal_cols),
     );
 }
 
@@ -621,7 +624,26 @@ mod tests {
     fn cert_roundtrips_through_bytes() {
         let (t, n) = lcg_matrices(40, 70, 30, 9);
         let (_, _, cert) = kernelize(&t, &n, 3);
-        assert_eq!(ReductionCert::from_bytes(&cert.to_bytes()), cert);
+        assert_eq!(ReductionCert::from_bytes(&cert.to_bytes()), Ok(cert));
+    }
+
+    #[test]
+    fn malformed_cert_is_rejected_not_panicked_on() {
+        let (t, n) = lcg_matrices(40, 70, 30, 9);
+        let (_, _, cert) = kernelize(&t, &n, 3);
+        let good = cert.to_bytes();
+        assert!(cert.kept_genes() > 0, "need a gene map to truncate");
+
+        assert!(ReductionCert::from_bytes(&[]).is_err(), "empty");
+        assert!(ReductionCert::from_bytes(&good[..47]).is_err(), "header");
+        // The header claims more genes than the payload carries.
+        let mut overcount = good.clone();
+        overcount[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ReductionCert::from_bytes(&overcount).is_err(), "count");
+        assert!(ReductionCert::from_bytes(&good[..good.len() - 4]).is_err());
+        let mut extra = good.clone();
+        extra.extend_from_slice(&[0; 4]);
+        assert!(ReductionCert::from_bytes(&extra).is_err(), "trailing word");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! * [`kernelize`] — exact instance reduction (dominated/useless genes,
 //!   removable sample columns) with a certificate mapping reduced results
 //!   back to original indices;
-//! * [`obs`] — dependency-free observability: spans, counters, a JSON-lines
+//! * [`obs`] — dependency-free observability: spans, points, a JSON-lines
 //!   event stream, and the [`obs::RunReport`] aggregate consumers build
 //!   from it.
 //!

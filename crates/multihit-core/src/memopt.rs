@@ -183,8 +183,8 @@ pub fn scan_3hit(
 }
 
 /// [`scan_3hit`] with observability: wraps the scan in a `memopt_scan` span,
-/// emits one `memopt_scan` point (`level`, `scan_ns`, the [`AccessStats`]
-/// word traffic), and folds the traffic into `memopt.*` counters.
+/// and emits one `memopt_scan` point (`level`, `scan_ns`, the
+/// [`AccessStats`] word traffic).
 #[must_use]
 pub fn scan_3hit_obs(
     tumor: &BitMatrix,
@@ -209,10 +209,6 @@ pub fn scan_3hit_obs(
                 ("words_per_row", tumor.words_per_row().into()),
             ],
         );
-        obs.counter_add("memopt.scans", 1);
-        obs.counter_add("memopt.inner_reads", result.stats.inner_reads);
-        obs.counter_add("memopt.prefetch_reads", result.stats.prefetch_reads);
-        obs.counter_add("memopt.and_ops", result.stats.and_ops);
     }
     drop(span);
     result

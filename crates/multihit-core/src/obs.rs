@@ -1,5 +1,5 @@
-//! Dependency-free observability: hierarchical spans, monotonic counters,
-//! gauges, and a JSON-lines event stream.
+//! Dependency-free observability: hierarchical spans, named points, and a
+//! JSON-lines event stream.
 //!
 //! The paper's argument is quantitative — per-GPU busy/idle time, scheduler
 //! overhead, memory-traffic ablations (Figs 4–6) — so the runtime needs a
@@ -11,17 +11,16 @@
 //!   `&Obs` unconditionally.
 //! * [`Obs::span`] — RAII wall-clock spans. Nesting is tracked per thread,
 //!   so a span records its slash-joined `path` ("discover/greedy_iter").
-//! * [`Obs::counter_add`] / [`Obs::gauge_set`] — a monotonic counter
-//!   registry and last-value gauges, aggregated across threads.
 //! * [`Obs::point`] — a named point event with typed fields; this is how
 //!   per-iteration metrics (`scan_ns`, `combos_scored`, per-rank
-//!   `busy_ns`/`idle_ns`, `partition_ns`, ...) enter the stream.
+//!   `busy_ns`/`idle_ns`, `partition_ns`, ...) enter the stream. Every
+//!   number is recorded once, as a field of the point that produced it;
+//!   [`Obs::sum`] and [`RunReport`] total the fields on demand.
 //! * [`Event`] — hand-rolled JSON-lines serialization and parsing, so the
 //!   stream round-trips without serde.
 //! * [`RunReport`] — the aggregate view consumers (the CLI, the bench
 //!   figure harness) build from an event stream.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -124,8 +123,6 @@ pub enum EventKind {
     Span,
     /// A named metrics point (one row of per-iteration / per-rank data).
     Point,
-    /// A snapshot of the counter registry.
-    Counters,
 }
 
 impl EventKind {
@@ -135,7 +132,6 @@ impl EventKind {
         match self {
             EventKind::Span => "span",
             EventKind::Point => "point",
-            EventKind::Counters => "counters",
         }
     }
 
@@ -145,7 +141,6 @@ impl EventKind {
         match s {
             "span" => Some(EventKind::Span),
             "point" => Some(EventKind::Point),
-            "counters" => Some(EventKind::Counters),
             _ => None,
         }
     }
@@ -156,7 +151,7 @@ impl EventKind {
 pub struct Event {
     /// Record kind.
     pub kind: EventKind,
-    /// Event name (span name, point name, or "counters").
+    /// Event name (span name or point name).
     pub name: String,
     /// Ordered typed fields.
     pub fields: Vec<(String, Value)>,
@@ -212,7 +207,7 @@ impl Event {
     /// # Errors
     /// Returns a description of the first syntax problem.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let pairs = parse_flat_object(line)?;
+        let pairs = parse_json_object(line)?;
         let mut kind = None;
         let mut name = None;
         let mut fields = Vec::with_capacity(pairs.len().saturating_sub(2));
@@ -293,17 +288,6 @@ pub fn json_object(pairs: &[(String, Value)]) -> String {
     out
 }
 
-/// Parse a flat JSON object of scalar values (the only shape this stream —
-/// and the serving wire protocol — emits). Returns the key/value pairs in
-/// input order. JSON `null` parses as [`Value::F64`]`(NAN)`; consumers that
-/// report ratios must pass such fields through [`finite_or_zero`].
-///
-/// # Errors
-/// Returns a description of the first syntax problem.
-pub fn parse_json_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    parse_flat_object(line)
-}
-
 /// Clamp a possibly non-finite reported ratio to something finite (0.0).
 ///
 /// The wire format writes non-finite `f64` as `null` and parses `null`
@@ -321,7 +305,14 @@ pub fn finite_or_zero(v: f64) -> f64 {
     }
 }
 
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
+/// Parse a flat JSON object of scalar values (the only shape this stream —
+/// and the serving wire protocol — emits). Returns the key/value pairs in
+/// input order. JSON `null` parses as [`Value::F64`]`(NAN)`; consumers that
+/// report ratios must pass such fields through [`finite_or_zero`].
+///
+/// # Errors
+/// Returns a description of the first syntax problem.
+pub fn parse_json_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     let mut chars = line.trim().char_indices().peekable();
     let src = line.trim();
     let mut pairs = Vec::new();
@@ -338,8 +329,8 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     loop {
         match next_non_ws(&mut chars) {
             Some((_, '}')) => return Ok(pairs),
-            Some((i, '"')) => {
-                let (key, _) = parse_string_body(src, i + 1, &mut chars)?;
+            Some((_, '"')) => {
+                let key = parse_string_body(src, &mut chars)?;
                 match next_non_ws(&mut chars) {
                     Some((_, ':')) => {}
                     _ => return Err(format!("expected ':' after key {key:?}")),
@@ -359,16 +350,15 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
 }
 
 /// Consume a string body (opening quote already consumed); returns the
-/// unescaped string and the index just past the closing quote.
+/// unescaped string.
 fn parse_string_body(
     src: &str,
-    _start: usize,
     chars: &mut std::iter::Peekable<std::str::CharIndices>,
-) -> Result<(String, usize), String> {
+) -> Result<String, String> {
     let mut out = String::new();
     loop {
         match chars.next() {
-            Some((j, '"')) => return Ok((out, j + 1)),
+            Some((_, '"')) => return Ok(out),
             Some((_, '\\')) => match chars.next() {
                 Some((_, '"')) => out.push('"'),
                 Some((_, '\\')) => out.push('\\'),
@@ -401,10 +391,9 @@ fn parse_value(
         chars.next();
     }
     match chars.peek().copied() {
-        Some((i, '"')) => {
+        Some((_, '"')) => {
             chars.next();
-            let (s, _) = parse_string_body(src, i + 1, chars)?;
-            Ok(Value::Str(s))
+            parse_string_body(src, chars).map(Value::Str)
         }
         Some((_, 't')) => {
             expect_word(chars, "true")?;
@@ -469,8 +458,6 @@ fn expect_word(
 struct Inner {
     trace: bool,
     events: Mutex<Vec<Event>>,
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
 }
 
 /// Cloneable observability handle. Disabled handles make every record call
@@ -509,8 +496,6 @@ impl Obs {
             inner: Some(Arc::new(Inner {
                 trace,
                 events: Mutex::new(Vec::new()),
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
             })),
         }
     }
@@ -521,17 +506,18 @@ impl Obs {
         self.inner.is_some()
     }
 
+    /// Run `f` on the recorded events (the default value when disabled).
+    fn with_events<R: Default>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> R {
+        self.inner.as_ref().map_or_else(R::default, |inner| {
+            f(&mut inner.events.lock().expect("obs events poisoned"))
+        })
+    }
+
     fn record(&self, event: Event) {
-        if let Some(inner) = &self.inner {
-            if inner.trace {
-                eprintln!("[obs] {}", event.to_json());
-            }
-            inner
-                .events
-                .lock()
-                .expect("obs events poisoned")
-                .push(event);
+        if self.inner.as_ref().is_some_and(|inner| inner.trace) {
+            eprintln!("[obs] {}", event.to_json());
         }
+        self.with_events(|events| events.push(event));
     }
 
     /// Open a wall-clock span; it records itself on drop. Nested spans on
@@ -540,36 +526,10 @@ impl Obs {
     pub fn span(&self, name: &str) -> SpanGuard {
         if self.inner.is_some() {
             SPAN_STACK.with(|s| s.borrow_mut().push(name.to_string()));
-            SpanGuard {
-                obs: self.clone(),
-                armed: true,
-                start: Instant::now(),
-            }
-        } else {
-            SpanGuard {
-                obs: Obs::disabled(),
-                armed: false,
-                start: Instant::now(),
-            }
         }
-    }
-
-    /// Add to a monotonic counter (creates it at zero first).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let mut c = inner.counters.lock().expect("obs counters poisoned");
-            *c.entry(name.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Set a last-value gauge.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .gauges
-                .lock()
-                .expect("obs gauges poisoned")
-                .insert(name.to_string(), value);
+        SpanGuard {
+            obs: self.clone(),
+            start: Instant::now(),
         }
     }
 
@@ -587,78 +547,28 @@ impl Obs {
         }
     }
 
-    /// Current value of one counter (0 when absent or disabled).
+    /// Total of `field` over every recorded point named `point` (0 when
+    /// absent or disabled).
     #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |inner| {
-            *inner
-                .counters
-                .lock()
-                .expect("obs counters poisoned")
-                .get(name)
-                .unwrap_or(&0)
+    pub fn sum(&self, point: &str, field: &str) -> u64 {
+        self.with_events(|events| {
+            let points = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Point && e.name == point);
+            points.filter_map(|e| e.u64(field)).sum()
         })
-    }
-
-    /// Snapshot of the counter registry.
-    #[must_use]
-    pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .as_ref()
-            .map(|inner| {
-                inner
-                    .counters
-                    .lock()
-                    .expect("obs counters poisoned")
-                    .clone()
-            })
-            .unwrap_or_default()
     }
 
     /// Snapshot of recorded events (in record order).
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.events.lock().expect("obs events poisoned").clone())
-            .unwrap_or_default()
+        self.with_events(|events| events.clone())
     }
 
-    /// The full stream as JSON lines: every event, then one `counters`
-    /// snapshot (counters as `u64` fields, gauges as `f64` fields).
+    /// The full stream as JSON lines, one event per line in record order.
     #[must_use]
     pub fn to_json_lines(&self) -> String {
-        let Some(inner) = &self.inner else {
-            return String::new();
-        };
-        let mut out = String::new();
-        for e in inner.events.lock().expect("obs events poisoned").iter() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        let mut fields: Vec<(String, Value)> = inner
-            .counters
-            .lock()
-            .expect("obs counters poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::U64(*v)))
-            .collect();
-        fields.extend(
-            inner
-                .gauges
-                .lock()
-                .expect("obs gauges poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::F64(*v))),
-        );
-        let snapshot = Event {
-            kind: EventKind::Counters,
-            name: "counters".to_string(),
-            fields,
-        };
-        out.push_str(&snapshot.to_json());
-        out.push('\n');
-        out
+        self.with_events(|events| events.iter().map(|e| e.to_json() + "\n").collect())
     }
 
     /// Write the JSON-lines stream to a file.
@@ -673,7 +583,6 @@ impl Obs {
 /// RAII guard returned by [`Obs::span`].
 pub struct SpanGuard {
     obs: Obs,
-    armed: bool,
     start: Instant,
 }
 
@@ -687,7 +596,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
+        if !self.obs.is_enabled() {
             return;
         }
         let dur_ns = self.elapsed_ns();
@@ -862,8 +771,9 @@ pub struct TenantReport {
     pub shed: u64,
 }
 
-/// Aggregated serving-layer metrics, built from per-batch `serve_batch`
-/// points and the one `serve_summary` point the server emits at shutdown.
+/// Aggregated serving-layer metrics: what `Server::shutdown` returns, and
+/// what [`RunReport::from_events`] rebuilds from the one `serve_summary`
+/// point (plus one `serve_tenant` point per tenant) shutdown emits.
 ///
 /// All ratio accessors are zero-guarded: an empty or summary-less stream
 /// reports 0.0 everywhere, never NaN.
@@ -887,13 +797,14 @@ pub struct ServeReport {
     pub stale_evictions: u64,
     /// Scoring batches executed.
     pub batches: u64,
-    /// Requests drained into batches, cache hits included (the sum of the
-    /// `serve_batch` points' `batch_size`).
+    /// Requests drained into batches, cache hits included.
     pub batched_samples: u64,
     /// Configured batch-size ceiling (denominator of [`Self::mean_batch_fill`]).
     pub batch_max: u64,
     /// Deepest queue observed at batch formation.
     pub max_queue_depth: u64,
+    /// Nanoseconds the shards spent probing caches and scoring batches.
+    pub score_ns: u64,
     /// Front-end connections accepted over the serving window.
     pub conn_accepted: u64,
     /// Front-end connections closed (drained) over the serving window.
@@ -904,10 +815,10 @@ pub struct ServeReport {
     pub swaps: u64,
     /// Swaps that arrived as publish control frames (discover→serve).
     pub publishes: u64,
-    /// Reactor event-loop iterations (from `serve_reactor` points).
+    /// Reactor event-loop iterations (0 for in-process serving).
     pub reactor_loops: u64,
-    /// Nanoseconds the reactor spent processing ready events (vs parked
-    /// in the poller) — numerator of [`Self::mean_reactor_loop_ns`].
+    /// Nanoseconds the reactors spent processing ready events (vs parked
+    /// in the poller).
     pub reactor_busy_ns: u64,
     /// Median request latency, nanoseconds.
     pub p50_latency_ns: u64,
@@ -944,27 +855,6 @@ impl ServeReport {
             finite_or_zero(self.batched_samples as f64 / denom as f64)
         }
     }
-
-    /// Fraction of admitted requests shed (0.0 with no traffic).
-    #[must_use]
-    pub fn shed_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            finite_or_zero(self.shed as f64 / self.requests as f64)
-        }
-    }
-
-    /// Mean busy time per reactor event-loop iteration, nanoseconds
-    /// (0.0 for in-process serving with no reactor).
-    #[must_use]
-    pub fn mean_reactor_loop_ns(&self) -> f64 {
-        if self.reactor_loops == 0 {
-            0.0
-        } else {
-            finite_or_zero(self.reactor_busy_ns as f64 / self.reactor_loops as f64)
-        }
-    }
 }
 
 /// Aggregated view of one observability stream.
@@ -990,8 +880,9 @@ pub struct RunReport {
     pub serve: ServeReport,
     /// Instance-reduction summary (None when kernelization did not run).
     pub kernelize: Option<KernelizeReport>,
-    /// Final counter registry.
-    pub counters: BTreeMap<String, u64>,
+    /// Message retransmissions by the fault-tolerant collectives (from the
+    /// end-of-run `ft` point; 0 on clean runs).
+    retransmits: u64,
 }
 
 impl RunReport {
@@ -1086,13 +977,8 @@ impl RunReport {
                         frontier_records_moved: e.u64("frontier_records_moved").unwrap_or(0),
                     });
                 }
-                (EventKind::Point, "serve_batch") => {
-                    r.serve.batches += 1;
-                    r.serve.batched_samples += e.u64("batch_size").unwrap_or(0);
-                    r.serve.max_queue_depth = r
-                        .serve
-                        .max_queue_depth
-                        .max(e.u64("queue_depth").unwrap_or(0));
+                (EventKind::Point, "ft") => {
+                    r.retransmits += e.u64("retransmits").unwrap_or(0);
                 }
                 (EventKind::Point, "serve_summary") => {
                     r.serve.requests = e.u64("requests").unwrap_or(0);
@@ -1102,12 +988,18 @@ impl RunReport {
                     r.serve.errors = e.u64("errors").unwrap_or(0);
                     r.serve.cache_hits = e.u64("cache_hits").unwrap_or(0);
                     r.serve.stale_evictions = e.u64("stale_evictions").unwrap_or(0);
+                    r.serve.batches = e.u64("batches").unwrap_or(0);
+                    r.serve.batched_samples = e.u64("batched_samples").unwrap_or(0);
                     r.serve.batch_max = e.u64("batch_max").unwrap_or(0);
+                    r.serve.max_queue_depth = e.u64("max_queue_depth").unwrap_or(0);
+                    r.serve.score_ns = e.u64("score_ns").unwrap_or(0);
                     r.serve.conn_accepted = e.u64("conn_accepted").unwrap_or(0);
                     r.serve.conn_closed = e.u64("conn_closed").unwrap_or(0);
                     r.serve.frames_decoded = e.u64("frames_decoded").unwrap_or(0);
                     r.serve.swaps = e.u64("swaps").unwrap_or(0);
                     r.serve.publishes = e.u64("publishes").unwrap_or(0);
+                    r.serve.reactor_loops = e.u64("reactor_loops").unwrap_or(0);
+                    r.serve.reactor_busy_ns = e.u64("reactor_busy_ns").unwrap_or(0);
                     r.serve.p50_latency_ns = e.u64("p50_latency_ns").unwrap_or(0);
                     r.serve.p95_latency_ns = e.u64("p95_latency_ns").unwrap_or(0);
                     r.serve.p99_latency_ns = e.u64("p99_latency_ns").unwrap_or(0);
@@ -1125,17 +1017,6 @@ impl RunReport {
                     match r.serve.tenants.iter_mut().find(|t| t.tenant == tenant) {
                         Some(slot) => *slot = entry,
                         None => r.serve.tenants.push(entry),
-                    }
-                }
-                (EventKind::Point, "serve_reactor") => {
-                    r.serve.reactor_loops += e.u64("loops").unwrap_or(0);
-                    r.serve.reactor_busy_ns += e.u64("busy_ns").unwrap_or(0);
-                }
-                (EventKind::Counters, _) => {
-                    for (k, v) in &e.fields {
-                        if let Some(n) = v.as_u64() {
-                            r.counters.insert(k.clone(), n);
-                        }
                     }
                 }
                 _ => {}
@@ -1220,25 +1101,6 @@ impl RunReport {
         self.greedy_iters.iter().map(|i| i.words_skipped).sum()
     }
 
-    /// Total level-0 block-kernel invocations across iterations.
-    #[must_use]
-    pub fn total_block_sweeps(&self) -> u64 {
-        self.greedy_iters.iter().map(|i| i.block_sweeps).sum()
-    }
-
-    /// Total candidate rows scored through the block kernels.
-    #[must_use]
-    pub fn total_swept_rows(&self) -> u64 {
-        self.greedy_iters.iter().map(|i| i.swept_rows).sum()
-    }
-
-    /// Mean rows per block-kernel invocation (0.0 when sweeping never ran,
-    /// e.g. `--no-block-sweep` or streams from older versions).
-    #[must_use]
-    pub fn mean_rows_per_sweep(&self) -> f64 {
-        finite_or_zero(self.total_swept_rows() as f64 / self.total_block_sweeps() as f64)
-    }
-
     /// Genes removed by kernelization (0 when it did not run).
     #[must_use]
     pub fn genes_removed(&self) -> u64 {
@@ -1252,15 +1114,6 @@ impl RunReport {
     #[must_use]
     pub fn frontier_hit_rate(&self) -> f64 {
         finite_or_zero(self.frontier_hits() as f64 / self.greedy_iters.len() as f64)
-    }
-
-    /// Share of scoring work done by cheap frontier rescoring rather than
-    /// scan evaluation (0.0 on empty runs).
-    #[must_use]
-    pub fn frontier_rescore_fraction(&self) -> f64 {
-        let rescored = self.total_frontier_rescored();
-        let scanned: u64 = self.greedy_iters.iter().map(|i| i.scan_scored).sum();
-        finite_or_zero(rescored as f64 / (rescored + scanned) as f64)
     }
 
     /// Rank busy-time imbalance: max busy / mean busy (1.0 = balanced,
@@ -1348,10 +1201,10 @@ impl RunReport {
     }
 
     /// Message retransmissions performed by the fault-tolerant collectives
-    /// (from the `ft.retransmits` counter; 0 on clean runs).
+    /// (from the end-of-run `ft` point; 0 on clean runs).
     #[must_use]
     pub fn retransmits(&self) -> u64 {
-        self.counters.get("ft.retransmits").copied().unwrap_or(0)
+        self.retransmits
     }
 }
 
@@ -1362,13 +1215,12 @@ mod tests {
     #[test]
     fn disabled_obs_is_inert() {
         let obs = Obs::disabled();
-        obs.counter_add("x", 5);
         obs.point("p", &[("a", Value::U64(1))]);
         {
             let _s = obs.span("outer");
         }
         assert!(!obs.is_enabled());
-        assert_eq!(obs.counter("x"), 0);
+        assert_eq!(obs.sum("p", "a"), 0);
         assert!(obs.events().is_empty());
         assert!(obs.to_json_lines().is_empty());
     }
@@ -1401,23 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_aggregate_across_threads() {
-        let obs = Obs::enabled();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let obs = obs.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        obs.counter_add("hits", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(obs.counter("hits"), 8000);
-        assert_eq!(obs.counters().get("hits"), Some(&8000));
-    }
-
-    #[test]
     fn json_lines_round_trip() {
         let obs = Obs::enabled();
         obs.point(
@@ -1431,17 +1266,11 @@ mod tests {
                 ("capped", Value::Bool(false)),
             ],
         );
-        obs.counter_add("greedy.iterations", 1);
-        obs.gauge_set("sched.imbalance", 1.0625);
         let text = obs.to_json_lines();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 1);
         let back = Event::from_json(lines[0]).unwrap();
         assert_eq!(back, obs.events()[0]);
-        let snap = Event::from_json(lines[1]).unwrap();
-        assert_eq!(snap.kind, EventKind::Counters);
-        assert_eq!(snap.u64("greedy.iterations"), Some(1));
-        assert_eq!(snap.f64("sched.imbalance"), Some(1.0625));
     }
 
     #[test]
@@ -1510,7 +1339,14 @@ mod tests {
             "timeline_iter",
             &[("iter", Value::U64(0)), ("makespan_ns", Value::U64(1000))],
         );
-        obs.counter_add("greedy.combos_scored", 1000);
+        {
+            // A span sharing a point's name is not part of that point's sum.
+            let _s = obs.span("greedy_iter");
+        }
+        assert_eq!(obs.sum("greedy_iter", "scan_ns"), 1800);
+        assert_eq!(obs.sum("rank", "comm_ns"), 10);
+        assert_eq!(obs.sum("greedy_iter", "no_such_field"), 0);
+        assert_eq!(obs.sum("no_such_point", "scan_ns"), 0);
 
         let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
         assert_eq!(report.greedy_iters.len(), 2);
@@ -1520,30 +1356,12 @@ mod tests {
         assert_eq!(report.ranks[0].busy_ns, 900);
         assert_eq!(report.partition_ns, vec![77]);
         assert_eq!(report.makespan_ns, vec![1000]);
-        assert_eq!(report.counters.get("greedy.combos_scored"), Some(&1000));
         let imb = report.rank_imbalance();
         assert!((imb - 1.2).abs() < 1e-12, "imbalance {imb}");
         let util = report.mean_rank_utilization();
         assert!((util - 0.75).abs() < 1e-12, "utilization {util}");
-        assert_eq!(report.total_block_sweeps(), 50);
-        assert_eq!(report.total_swept_rows(), 800);
-        let rps = report.mean_rows_per_sweep();
-        assert!((rps - 16.0).abs() < 1e-12, "rows/sweep {rps}");
-    }
-
-    #[test]
-    fn rows_per_sweep_is_zero_without_sweeps() {
-        // Streams from builds before block sweeping (or runs with
-        // --no-block-sweep) have no sweep fields; the ratio must stay 0.0,
-        // not NaN.
-        let obs = Obs::enabled();
-        obs.point(
-            "greedy_iter",
-            &[("iter", Value::U64(0)), ("scan_ns", Value::U64(5))],
-        );
-        let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
-        assert_eq!(report.total_block_sweeps(), 0);
-        assert_eq!(report.mean_rows_per_sweep(), 0.0);
+        assert_eq!(report.greedy_iters[1].block_sweeps, 20);
+        assert_eq!(report.greedy_iters[1].swept_rows, 350);
     }
 
     #[test]
@@ -1573,7 +1391,10 @@ mod tests {
                 ("error", Value::Str("bad crc".to_string())),
             ],
         );
-        obs.counter_add("ft.retransmits", 3);
+        obs.point(
+            "ft",
+            &[("retransmits", Value::U64(3)), ("timeouts", Value::U64(1))],
+        );
 
         let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
         assert_eq!(report.faults.len(), 1);
@@ -1666,10 +1487,8 @@ mod tests {
             ("mean_rank_utilization", r.mean_rank_utilization()),
             ("cache_hit_rate", r.serve.cache_hit_rate()),
             ("mean_batch_fill", r.serve.mean_batch_fill()),
-            ("shed_rate", r.serve.shed_rate()),
             ("throughput_rps", r.serve.throughput_rps),
             ("frontier_hit_rate", r.frontier_hit_rate()),
-            ("frontier_rescore_fraction", r.frontier_rescore_fraction()),
         ] {
             assert!(v.is_finite(), "{name} not finite on empty run: {v}");
             assert_eq!(v, 0.0, "{name} must be 0.0 on an empty run");
@@ -1709,21 +1528,11 @@ mod tests {
         assert_eq!(r.full_rescans(), 1);
         assert_eq!(r.total_frontier_rescored(), 25);
         assert!((r.frontier_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((r.frontier_rescore_fraction() - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn run_report_aggregates_serve_points() {
         let obs = Obs::enabled();
-        for (size, depth) in [(8u64, 3u64), (6, 12), (2, 0)] {
-            obs.point(
-                "serve_batch",
-                &[
-                    ("batch_size", Value::U64(size)),
-                    ("queue_depth", Value::U64(depth)),
-                ],
-            );
-        }
         obs.point(
             "serve_summary",
             &[
@@ -1732,7 +1541,13 @@ mod tests {
                 ("shed", Value::U64(4)),
                 ("errors", Value::U64(0)),
                 ("cache_hits", Value::U64(4)),
+                ("batches", Value::U64(3)),
+                ("batched_samples", Value::U64(16)),
                 ("batch_max", Value::U64(8)),
+                ("max_queue_depth", Value::U64(12)),
+                ("score_ns", Value::U64(700)),
+                ("reactor_loops", Value::U64(5)),
+                ("reactor_busy_ns", Value::U64(900)),
                 ("p50_latency_ns", Value::U64(1_000)),
                 ("p95_latency_ns", Value::U64(5_000)),
                 ("p99_latency_ns", Value::U64(9_000)),
@@ -1746,7 +1561,8 @@ mod tests {
         assert_eq!(r.serve.shed, 4);
         assert!((r.serve.cache_hit_rate() - 0.25).abs() < 1e-12);
         assert!((r.serve.mean_batch_fill() - 16.0 / 24.0).abs() < 1e-12);
-        assert!((r.serve.shed_rate() - 0.2).abs() < 1e-12);
+        assert_eq!(r.serve.score_ns, 700);
+        assert_eq!((r.serve.reactor_loops, r.serve.reactor_busy_ns), (5, 900));
         assert_eq!(r.serve.p95_latency_ns, 5_000);
     }
 

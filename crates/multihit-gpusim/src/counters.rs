@@ -45,20 +45,15 @@ pub fn run_metrics(model: &CostModel, costs: &[GpuCost]) -> Vec<GpuRunMetrics> {
 }
 
 /// Publish a run's [`GpuRunMetrics`] onto an observability stream: one
-/// `gpu_metrics` point per GPU plus aggregate `gpu.*` counters and fleet
-/// gauges. This is the single funnel from the NVPROF-style profile rows to
-/// the metrics JSON — consumers read the stream instead of re-deriving the
-/// numbers from raw costs.
+/// `gpu_metrics` point per GPU. This is the single funnel from the
+/// NVPROF-style profile rows to the metrics JSON — consumers read the
+/// stream instead of re-deriving the numbers from raw costs.
 pub fn record_run_metrics(obs: &Obs, metrics: &[GpuRunMetrics]) {
     if !obs.is_enabled() || metrics.is_empty() {
         return;
     }
-    let mut busy_ns_total = 0u64;
-    let mut bytes_total = 0u64;
     for m in metrics {
         let time_ns = (m.cost.time_s * 1e9) as u64;
-        busy_ns_total += time_ns;
-        bytes_total += m.cost.bytes;
         obs.point(
             "gpu_metrics",
             &[
@@ -75,13 +70,6 @@ pub fn record_run_metrics(obs: &Obs, metrics: &[GpuRunMetrics]) {
             ],
         );
     }
-    obs.counter_add("gpu.launches", metrics.len() as u64);
-    obs.counter_add("gpu.busy_ns", busy_ns_total);
-    obs.counter_add("gpu.bytes", bytes_total);
-    let (mean, min, max) = utilization_summary(metrics);
-    obs.gauge_set("gpu.utilization_mean", mean);
-    obs.gauge_set("gpu.utilization_min", min);
-    obs.gauge_set("gpu.utilization_max", max);
 }
 
 /// Multiplicative per-GPU performance jitter (node-to-node variability: OS

@@ -43,7 +43,7 @@ use crate::publish;
 use crate::registry::{ModelRegistry, Panel};
 use crate::server::{InProcClient, ServeConfig, Server};
 use crate::tcp;
-use multihit_core::obs::{Obs, RunReport, ServeReport, Value};
+use multihit_core::obs::{Obs, ServeReport, Value};
 use multihit_data::results::{ResultRow, ResultsFile};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -440,7 +440,7 @@ pub fn run(cfg: &LoadgenConfig, obs: &Obs) -> LoadgenOutcome {
 
     let mut out = LoadgenOutcome::default();
     if matches!(cfg.proto, Proto::InProc | Proto::All) {
-        out.inproc = Some(run_inproc_phase(cfg, &profiles, &files, &gens));
+        out.inproc = Some(run_inproc_phase(cfg, &files, &gens));
     }
     if matches!(cfg.proto, Proto::Json | Proto::All) {
         out.json = Some(run_tcp_phase(cfg, false, &profiles, &files, &gens));
@@ -488,20 +488,8 @@ pub fn run(cfg: &LoadgenConfig, obs: &Obs) -> LoadgenOutcome {
     out
 }
 
-fn phase_report(obs: &Obs) -> ServeReport {
-    RunReport::from_json_lines(&obs.to_json_lines())
-        .expect("obs stream parses")
-        .serve
-}
-
-fn run_inproc_phase(
-    cfg: &LoadgenConfig,
-    _profiles: &[Vec<String>],
-    files: &[ResultsFile],
-    gens: &[GenRef],
-) -> PhaseStats {
-    let obs = Obs::enabled();
-    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &obs);
+fn run_inproc_phase(cfg: &LoadgenConfig, files: &[ResultsFile], gens: &[GenRef]) -> PhaseStats {
+    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &Obs::disabled());
     let announce = Arc::new(AtomicU64::new(1));
     let swap_driver = spawn_swap_driver(
         &server,
@@ -557,8 +545,7 @@ fn run_inproc_phase(
     let swaps = swap_driver.join().expect("swap driver");
     let queue_rejected_full = server.queue_rejected_full();
     let admission_shed = server.admission_shed();
-    server.shutdown();
-    let report = phase_report(&obs);
+    let report = server.shutdown();
     PhaseStats {
         throughput_rps: report.requests as f64 / elapsed_secs.max(1e-9),
         lost: lost.load(Ordering::Relaxed),
@@ -629,8 +616,7 @@ fn run_tcp_phase(
     files: &[ResultsFile],
     gens: &[GenRef],
 ) -> PhaseStats {
-    let obs = Obs::enabled();
-    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &obs);
+    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &Obs::disabled());
     let handle = tcp::spawn(Arc::clone(&server), "127.0.0.1:0").expect("bind loadgen server");
     let addr = handle.addr();
     let announce = Arc::new(AtomicU64::new(1));
@@ -837,8 +823,7 @@ fn run_tcp_phase(
     let queue_rejected_full = server.queue_rejected_full();
     let admission_shed = server.admission_shed();
     handle.stop();
-    server.shutdown();
-    let report = phase_report(&obs);
+    let report = server.shutdown();
     latencies.sort_unstable();
     PhaseStats {
         throughput_rps: completed as f64 / elapsed_secs.max(1e-9),
@@ -863,8 +848,7 @@ fn run_crosscheck(
     files: &[ResultsFile],
     gens: &[GenRef],
 ) -> (u64, u64) {
-    let obs = Obs::enabled();
-    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &obs);
+    let server = Server::start(registry_for(&files[0]), cfg.serve.clone(), &Obs::disabled());
     let handle = tcp::spawn(Arc::clone(&server), "127.0.0.1:0").expect("bind crosscheck server");
     let addr = handle.addr();
 
@@ -1086,7 +1070,6 @@ fn run_fairness_phase(
     files: &[ResultsFile],
     gens: &[GenRef],
 ) -> FairnessStats {
-    let obs = Obs::enabled();
     let mut serve = cfg.serve.clone();
     serve.admission = AdmissionConfig {
         total_rps: cfg.admit_rps.max(1),
@@ -1094,7 +1077,7 @@ fn run_fairness_phase(
         // on its opening burst for a large fraction of a short phase.
         burst_secs: 0.1,
     };
-    let server = Server::start(registry_for(&files[0]), serve, &obs);
+    let server = Server::start(registry_for(&files[0]), serve, &Obs::disabled());
     let handle = tcp::spawn(Arc::clone(&server), "127.0.0.1:0").expect("bind fairness server");
     let addr = handle.addr();
 
@@ -1117,8 +1100,7 @@ fn run_fairness_phase(
             .collect()
     });
     handle.stop();
-    server.shutdown();
-    let report = phase_report(&obs);
+    let report = server.shutdown();
 
     let mut min_ratio = f64::INFINITY;
     for o in &observed[1..] {
@@ -1259,6 +1241,10 @@ mod tests {
         assert_eq!(bin.report.ok + bin.report.shed + bin.report.errors, 600);
         assert!(bin.report.frames_decoded >= 600);
         assert!(bin.report.conn_accepted >= 8);
+        assert!(
+            bin.report.reactor_loops > 0,
+            "reactor totals reach shutdown"
+        );
         let json = out.json.as_ref().unwrap();
         assert_eq!(json.report.ok + json.report.shed + json.report.errors, 600);
     }

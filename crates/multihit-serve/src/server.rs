@@ -127,11 +127,14 @@ struct Stats {
     batches: AtomicU64,
     batched_samples: AtomicU64,
     max_queue_depth: AtomicU64,
+    score_ns: AtomicU64,
     conn_accepted: AtomicU64,
     conn_closed: AtomicU64,
     frames_decoded: AtomicU64,
     swaps: AtomicU64,
     publishes: AtomicU64,
+    reactor_loops: AtomicU64,
+    reactor_busy_ns: AtomicU64,
 }
 
 impl Stats {
@@ -181,12 +184,11 @@ impl Server {
         for (shard, queue) in queues.into_iter().enumerate() {
             let stats = Arc::clone(&server.stats);
             let latencies = Arc::clone(&server.latencies);
-            let obs = obs.clone();
             let cfg = cfg.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard}"))
-                    .spawn(move || worker_loop(&queue, &cfg, &stats, &latencies, &obs))
+                    .spawn(move || worker_loop(&queue, &cfg, &stats, &latencies))
                     .expect("spawn serve worker"),
             );
         }
@@ -211,7 +213,6 @@ impl Server {
     pub fn swap_registry(&self, registry: ModelRegistry) -> u64 {
         let version = self.shared.swap(registry);
         self.stats.swaps.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.swap", 1);
         version
     }
 
@@ -225,7 +226,6 @@ impl Server {
     pub fn publish_results(&self, panels: &[String]) -> Result<u64, String> {
         let registry = ModelRegistry::from_tsv_texts(panels)?;
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.publish", 1);
         Ok(self.swap_registry(registry))
     }
 
@@ -233,12 +233,6 @@ impl Server {
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// The server's observability handle (shared with front ends).
-    #[must_use]
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// Total queue-full rejections across shards (for asserting that every
@@ -277,21 +271,27 @@ impl Server {
     /// Record one accepted front-end connection.
     pub fn note_conn_accepted(&self) {
         self.stats.conn_accepted.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.conn_accepted", 1);
     }
 
     /// Record one closed front-end connection.
     pub fn note_conn_closed(&self) {
         self.stats.conn_closed.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.conn_closed", 1);
     }
 
     /// Record `n` binary frames decoded by a front end.
     pub fn note_frames_decoded(&self, n: u64) {
         if n > 0 {
             self.stats.frames_decoded.fetch_add(n, Ordering::Relaxed);
-            self.obs.counter_add("serve.frames_decoded", n);
         }
+    }
+
+    /// Record one stopped reactor's totals: its event-loop iterations and
+    /// the nanoseconds it spent processing ready events.
+    pub fn note_reactor(&self, loops: u64, busy_ns: u64) {
+        self.stats.reactor_loops.fetch_add(loops, Ordering::Relaxed);
+        self.stats
+            .reactor_busy_ns
+            .fetch_add(busy_ns, Ordering::Relaxed);
     }
 
     /// Admit one request. The response — ok, shed, or error — arrives on
@@ -309,10 +309,8 @@ impl Server {
     /// `reply`.
     pub(crate) fn admit_named(&self, req: &Request, generation: &VersionedRegistry, reply: Reply) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.requests", 1);
         let Some(panel) = generation.registry.get(&req.model) else {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_add("serve.errors", 1);
             reply.send(
                 Response::error(req.id, format!("unknown model {:?}", req.model))
                     .with_tenant(req.tenant),
@@ -345,7 +343,6 @@ impl Server {
         reply: Reply,
     ) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.requests", 1);
         self.enqueue(Job {
             id,
             panel: Arc::clone(panel),
@@ -361,9 +358,7 @@ impl Server {
     /// or a stale registry generation): counted and answered as an error.
     pub fn submit_unresolvable(&self, id: u64, tenant: u32, message: String, reply: &Reply) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.requests", 1);
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("serve.errors", 1);
         reply.send(Response::error(id, message).with_tenant(tenant));
     }
 
@@ -374,8 +369,6 @@ impl Server {
             if !adm.try_admit(job.tenant) {
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
                 self.stats.admission_shed.fetch_add(1, Ordering::Relaxed);
-                self.obs.counter_add("serve.shed", 1);
-                self.obs.counter_add("serve.admission_shed", 1);
                 job.reply
                     .send(Response::shed(job.id).with_tenant(job.tenant));
                 return;
@@ -384,7 +377,6 @@ impl Server {
         let shard = (sig_hash(job.panel.id, &job.signature) % self.queues.len() as u64) as usize;
         if let Err(QueueFull(job)) = self.queues[shard].try_push(job) {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_add("serve.shed", 1);
             job.reply
                 .send(Response::shed(job.id).with_tenant(job.tenant));
         }
@@ -435,13 +427,14 @@ impl Server {
             batched_samples: self.stats.batched_samples.load(Ordering::Relaxed),
             batch_max: self.cfg.batch_max as u64,
             max_queue_depth: self.stats.max_queue_depth.load(Ordering::Relaxed),
+            score_ns: self.stats.score_ns.load(Ordering::Relaxed),
             conn_accepted: self.stats.conn_accepted.load(Ordering::Relaxed),
             conn_closed: self.stats.conn_closed.load(Ordering::Relaxed),
             frames_decoded: self.stats.frames_decoded.load(Ordering::Relaxed),
             swaps: self.stats.swaps.load(Ordering::Relaxed),
             publishes: self.stats.publishes.load(Ordering::Relaxed),
-            reactor_loops: 0,
-            reactor_busy_ns: 0,
+            reactor_loops: self.stats.reactor_loops.load(Ordering::Relaxed),
+            reactor_busy_ns: self.stats.reactor_busy_ns.load(Ordering::Relaxed),
             p50_latency_ns: pct(0.50),
             p95_latency_ns: pct(0.95),
             p99_latency_ns: pct(0.99),
@@ -462,12 +455,18 @@ impl Server {
                 ("errors", Value::U64(report.errors)),
                 ("cache_hits", Value::U64(report.cache_hits)),
                 ("stale_evictions", Value::U64(report.stale_evictions)),
+                ("batches", Value::U64(report.batches)),
+                ("batched_samples", Value::U64(report.batched_samples)),
                 ("batch_max", Value::U64(report.batch_max)),
+                ("max_queue_depth", Value::U64(report.max_queue_depth)),
+                ("score_ns", Value::U64(report.score_ns)),
                 ("conn_accepted", Value::U64(report.conn_accepted)),
                 ("conn_closed", Value::U64(report.conn_closed)),
                 ("frames_decoded", Value::U64(report.frames_decoded)),
                 ("swaps", Value::U64(report.swaps)),
                 ("publishes", Value::U64(report.publishes)),
+                ("reactor_loops", Value::U64(report.reactor_loops)),
+                ("reactor_busy_ns", Value::U64(report.reactor_busy_ns)),
                 ("p50_latency_ns", Value::U64(report.p50_latency_ns)),
                 ("p95_latency_ns", Value::U64(report.p95_latency_ns)),
                 ("p99_latency_ns", Value::U64(report.p99_latency_ns)),
@@ -513,7 +512,6 @@ fn worker_loop(
     cfg: &ServeConfig,
     stats: &Stats,
     latencies: &Mutex<Vec<u64>>,
-    obs: &Obs,
 ) {
     let mut cache: LruCache<CacheKey, bool> = LruCache::new(cfg.cache_cap);
     let mut batch_latencies: Vec<u64> = Vec::new();
@@ -524,7 +522,6 @@ fn worker_loop(
     // displaced, so anything older is dead weight squatting in the LRU.
     let mut latest_gen = 0u64;
     while let Some(batch) = queue.pop_batch_window(cfg.batch_max, fill_window) {
-        let span = obs.span("serve_batch");
         let queue_depth = batch.len() as u64 + queue.len() as u64;
         stats.observe_depth(queue_depth);
         let batch_size = batch.len() as u64;
@@ -549,7 +546,6 @@ fn worker_loop(
             let stale = cache.retain(|k| k.0 + 1 >= latest_gen);
             if stale > 0 {
                 stats.stale_evictions.fetch_add(stale, Ordering::Relaxed);
-                obs.counter_add("serve.stale_evictions", stale);
             }
         }
         let score_start = Instant::now();
@@ -562,8 +558,7 @@ fn worker_loop(
                 let key = (version, panel_id, std::mem::take(&mut job.signature));
                 if let Some(tumor) = cache.get(&key) {
                     stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    obs.counter_add("serve.cache_hits", 1);
-                    respond_ok(&job, tumor, true, stats, obs, &mut batch_latencies);
+                    respond_ok(&job, tumor, true, stats, &mut batch_latencies);
                 } else {
                     misses.push((key, job));
                 }
@@ -585,7 +580,7 @@ fn worker_loop(
             let verdicts = panel.classifier.classify_batch(&m);
             for ((key, job), tumor) in misses.into_iter().zip(verdicts) {
                 cache.insert(key, tumor);
-                respond_ok(&job, tumor, false, stats, obs, &mut batch_latencies);
+                respond_ok(&job, tumor, false, stats, &mut batch_latencies);
             }
         }
         if cfg.score_delay_ns > 0 {
@@ -596,20 +591,11 @@ fn worker_loop(
         stats
             .batched_samples
             .fetch_add(batch_size, Ordering::Relaxed);
-        obs.counter_add("serve.batches", 1);
-        obs.point(
-            "serve_batch",
-            &[
-                ("batch_size", Value::U64(batch_size)),
-                ("queue_depth", Value::U64(queue_depth)),
-                ("score_ns", Value::U64(score_ns)),
-            ],
-        );
+        stats.score_ns.fetch_add(score_ns, Ordering::Relaxed);
         latencies
             .lock()
             .expect("latencies poisoned")
             .extend_from_slice(&batch_latencies);
-        drop(span);
     }
 }
 
@@ -618,11 +604,9 @@ fn respond_ok(
     tumor: bool,
     cache_hit: bool,
     stats: &Stats,
-    obs: &Obs,
     batch_latencies: &mut Vec<u64>,
 ) {
     stats.ok.fetch_add(1, Ordering::Relaxed);
-    obs.counter_add("serve.ok", 1);
     batch_latencies.push(u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX));
     job.reply
         .send(Response::ok(job.id, tumor, cache_hit, job.version).with_tenant(job.tenant));
@@ -786,7 +770,6 @@ impl InProcClient {
 mod tests {
     use super::*;
     use crate::loadgen::synth_results;
-    use multihit_core::obs::RunReport;
 
     fn small_server(cfg: ServeConfig) -> (Arc<Server>, Obs) {
         let obs = Obs::enabled();
@@ -819,24 +802,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_fill_agrees_between_report_and_event_stream_on_a_cache_hot_run() {
-        // One signature asked 50 times: a warm-up miss, then every request
-        // a cache hit. Occupancy counts drained requests, not scored misses,
-        // whichever side it is read from.
-        let (server, obs) = small_server(ServeConfig {
-            shards: 1,
-            ..ServeConfig::default()
-        });
-        let client = InProcClient::new(Arc::clone(&server));
-        let genes = vec!["G0".to_string(), "G1".to_string()];
-        for _ in 0..50 {
-            client.classify("P", &genes).expect("lost response");
-        }
-        let report = server.shutdown();
-        assert_eq!(report.cache_hits, 49);
-        assert_eq!(report.batched_samples, 50);
-        let folded = RunReport::from_events(&obs.events()).serve;
-        assert!((report.mean_batch_fill() - folded.mean_batch_fill()).abs() < 1e-12);
+    fn event_stream_does_not_grow_with_traffic() {
+        // Nothing between submit and reply records an event: a run a
+        // hundred times longer leaves exactly as many behind.
+        let events_after = |requests: usize| {
+            let (server, obs) = small_server(ServeConfig::default());
+            let panel = server.registry().registry.get("P").unwrap();
+            let client = InProcClient::new(Arc::clone(&server));
+            let sigs: Vec<Vec<u64>> = (0..8u64)
+                .map(|i| panel.signature(&[format!("G{i}")]))
+                .collect();
+            let refs: Vec<&[u64]> = sigs.iter().map(Vec::as_slice).collect();
+            for _ in 0..requests / refs.len() {
+                let out = client.classify_packed_window(1, panel.id, &refs);
+                assert!(out.iter().all(Option::is_some), "lost response");
+            }
+            let report = server.shutdown();
+            // Occupancy counts drained requests, cache hits included.
+            assert!(report.cache_hits > 0);
+            assert_eq!(report.ok, requests as u64);
+            assert_eq!(report.batched_samples, requests as u64);
+            obs.events().len()
+        };
+        assert_eq!(events_after(200), events_after(20_000));
     }
 
     #[test]

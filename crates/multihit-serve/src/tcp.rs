@@ -28,7 +28,6 @@ use crate::poll::{Interest, Poller, WAKE_TOKEN};
 use crate::protocol::{Request, Response};
 use crate::registry::RegistryReader;
 use crate::server::{Reply, ResponseSink, Server};
-use multihit_core::obs::Value;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -349,14 +348,7 @@ fn reactor_loop(
     if let Some(l) = &listener {
         let _ = shared.poller.deregister(l.as_raw_fd());
     }
-    server.obs().point(
-        "serve_reactor",
-        &[
-            ("reactor", Value::U64(idx as u64)),
-            ("loops", Value::U64(loops)),
-            ("busy_ns", Value::U64(busy_ns)),
-        ],
-    );
+    server.note_reactor(loops, busy_ns);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -633,7 +625,7 @@ mod tests {
     use crate::protocol::Status;
     use crate::registry::ModelRegistry;
     use crate::server::ServeConfig;
-    use multihit_core::obs::Obs;
+    use multihit_core::obs::{Obs, RunReport};
     use std::io::{BufRead, BufReader};
 
     fn test_server() -> (Arc<Server>, Obs) {
@@ -646,7 +638,7 @@ mod tests {
 
     #[test]
     fn tcp_json_round_trip_matches_scalar() {
-        let (server, _obs) = test_server();
+        let (server, obs) = test_server();
         let panel = server.registry().registry.get("P").unwrap();
         let handle = spawn(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
@@ -692,6 +684,10 @@ mod tests {
         assert_eq!(report.ok, 40);
         assert_eq!(report.conn_accepted, 1);
         assert_eq!(report.conn_closed, 1);
+        // One report, two routes: the stopped reactor's totals reached the
+        // server's books, and the stream rebuilds the very same struct.
+        assert!(report.reactor_loops > 0 && report.batches > 0);
+        assert_eq!(RunReport::from_events(&obs.events()).serve, report);
     }
 
     #[test]

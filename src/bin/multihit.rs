@@ -618,8 +618,8 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     let report = RunReport::from_events(&obs.events());
     println!("combinations\t{}", ft.result.combinations.len());
     println!("matches_reference\t{matches}");
-    let scored = obs.counter("dist.scored");
-    let pruned = obs.counter("dist.pruned_combos");
+    let scored = obs.sum("rank_exec", "scored");
+    let pruned = obs.sum("rank_exec", "pruned_combos");
     println!("scored_combos\t{scored}");
     println!(
         "pruned_fraction\t{:.4}",

@@ -167,11 +167,11 @@ fn cluster_ranks_prune_yet_select_the_exhaustive_panel() {
                 audited += sum;
             }
             let (scored, pruned) = (
-                obs.counter("dist.scored"),
-                obs.counter("dist.pruned_combos"),
+                obs.sum("rank_exec", "scored"),
+                obs.sum("rank_exec", "pruned_combos"),
             );
             // Floor misses discard a rescore round, never a kernel round, so
-            // the counters and the per-iteration audit see the same scans.
+            // the rank points and the per-iteration audit see the same scans.
             assert_eq!(scored + pruned, audited, "{ctx}");
             assert!(
                 pruned > 0,
