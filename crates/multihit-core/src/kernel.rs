@@ -14,7 +14,14 @@
 //!
 //! Above AVX2 sits an AVX-512 tier (`avx512f` + `avx512vpopcntdq`): 512-bit
 //! ANDs with the `VPOPCNTQ` instruction counting eight words per cycle in
-//! vector registers, no lane extraction at all. The block kernels
+//! vector registers, no lane extraction at all. It has no scalar tail: the
+//! `n % 8` words after the unmasked 8-word body are one masked step
+//! (`_mm512_maskz_loadu_epi64`, and `_mm512_mask_storeu_epi64` for the
+//! stored AND) into the same accumulator, so a 15-word row costs one body
+//! iteration plus one masked one. Its functions also list `popcnt`: neither
+//! AVX-512 feature implies it, and without it any `count_ones` the compiler
+//! emits there is the baseline bit-twiddling sequence; `detect()` requires
+//! `popcnt` before it selects the tier. The block kernels
 //! ([`and_popcount_block`]) score a whole block of candidate rows against
 //! one fixed partial — the partial stays register/L1-resident while the
 //! rows stream past it, with software prefetch of the upcoming row (the
@@ -379,7 +386,8 @@ mod x86 {
 
     #[inline]
     unsafe fn lanes(v: __m256i) -> [u64; 4] {
-        // Safe transmute: __m256i and [u64; 4] have identical size/layout.
+        // SAFETY: `__m256i` and `[u64; 4]` are both 32 bytes with no
+        // invalid bit patterns, so every value of one is a value of the other.
         std::mem::transmute(v)
     }
 
@@ -533,14 +541,48 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    //! Every function here runs the same shape: an unmasked 8-word body,
+    //! then **one** masked step for the `n % 8` remaining words, folded into
+    //! the same `VPOPCNTQ` accumulator before the single horizontal add.
+    //!
+    //! SAFETY (module-wide): every function requires the feature set
+    //! `super::detect()` verifies before it selects `Dispatch::Avx512` —
+    //! `avx512f`, `avx512vpopcntdq` and `popcnt` (plus AVX2/BMI2, unused
+    //! here). Each `n` is the minimum of the operand lengths, so the body's
+    //! unmasked loads and stores cover words `i..i + 8 <= n` of every
+    //! slice. The remainder's mask enables exactly lanes `i..n`; AVX-512
+    //! masked loads and stores neither read nor write masked-off lanes and
+    //! suppress faults on them, so no word at or past `n` is touched.
     use std::arch::x86_64::{
-        _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_popcnt_epi64,
+        __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512,
+        _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
         _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_storeu_si512,
     };
 
+    /// Mask enabling the `rem < 8` low lanes of the remainder step.
+    #[inline]
+    fn tail_mask(rem: usize) -> __mmask8 {
+        debug_assert!(rem < 8);
+        ((1u32 << rem) - 1) as __mmask8
+    }
+
+    /// Load the lanes of `p[i..]` enabled by `m`, zeroing the rest.
+    ///
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// AVX-512F at runtime; every lane `m` enables must lie inside `p`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
+    unsafe fn load_masked(m: __mmask8, p: &[u64], i: usize) -> __m512i {
+        // SAFETY: `i <= p.len()`, so the pointer is in bounds or one past
+        // the end, and masked-off lanes are never read (the caller keeps
+        // the enabled ones inside `p`).
+        _mm512_maskz_loadu_epi64(m, p.as_ptr().add(i).cast())
+    }
+
+    /// # Safety
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT); reads stop at the shortest operand.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn popcount(a: &[u64]) -> u32 {
         let mut acc = _mm512_setzero_si512();
         let mut i = 0;
@@ -549,17 +591,17 @@ mod avx512 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
             i += 8;
         }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64 as u32;
-        while i < a.len() {
-            total += a[i].count_ones();
-            i += 1;
+        if i < a.len() {
+            let v = load_masked(tail_mask(a.len() - i), a, i);
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
         }
-        total
+        _mm512_reduce_add_epi64(acc) as u64 as u32
     }
 
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT); reads stop at the shortest operand.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
         let n = a.len().min(b.len());
         let mut acc = _mm512_setzero_si512();
@@ -570,17 +612,18 @@ mod avx512 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
             i += 8;
         }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64 as u32;
-        while i < n {
-            total += (a[i] & b[i]).count_ones();
-            i += 1;
+        if i < n {
+            let m = tail_mask(n - i);
+            let v = _mm512_and_si512(load_masked(m, a, i), load_masked(m, b, i));
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
         }
-        total
+        _mm512_reduce_add_epi64(acc) as u64 as u32
     }
 
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT); reads stop at the shortest operand.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn and3_popcount(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
         let n = a.len().min(b.len()).min(c.len());
         let mut acc = _mm512_setzero_si512();
@@ -593,18 +636,22 @@ mod avx512 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
             i += 8;
         }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64 as u32;
-        while i < n {
-            total += (a[i] & b[i] & c[i]).count_ones();
-            i += 1;
+        if i < n {
+            let m = tail_mask(n - i);
+            let v = _mm512_and_si512(
+                _mm512_and_si512(load_masked(m, a, i), load_masked(m, b, i)),
+                load_masked(m, c, i),
+            );
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
         }
-        total
+        _mm512_reduce_add_epi64(acc) as u64 as u32
     }
 
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime. `dst`, `a`, `b`
-    /// must not overlap.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT). `dst`, `a`, `b` must not overlap; `n` is
+    /// the minimum of the three lengths and nothing at or past it is touched.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn and_store_popcount(dst: &mut [u64], a: &[u64], b: &[u64]) -> u32 {
         let n = dst.len().min(a.len()).min(b.len());
         let mut acc = _mm512_setzero_si512();
@@ -617,19 +664,21 @@ mod avx512 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
             i += 8;
         }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64 as u32;
-        while i < n {
-            let w = a[i] & b[i];
-            dst[i] = w;
-            total += w.count_ones();
-            i += 1;
+        if i < n {
+            let m = tail_mask(n - i);
+            let v = _mm512_and_si512(load_masked(m, a, i), load_masked(m, b, i));
+            // SAFETY: `i <= n <= dst.len()`; the mask enables only lanes
+            // `i..n`, so words of `dst` at or past `n` are never written.
+            _mm512_mask_storeu_epi64(dst.as_mut_ptr().add(i).cast(), m, v);
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
         }
-        total
+        _mm512_reduce_add_epi64(acc) as u64 as u32
     }
 
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT); reads stop at the shortest operand.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn and_rows_popcount(rows: &[&[u64]]) -> u32 {
         match rows.len() {
             0 => panic!("at least one row"),
@@ -648,23 +697,23 @@ mod avx512 {
                     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
                     i += 8;
                 }
-                let mut total = _mm512_reduce_add_epi64(acc) as u64 as u32;
-                while i < n {
-                    let mut w = rows[0][i];
+                if i < n {
+                    let m = tail_mask(n - i);
+                    let mut v = load_masked(m, rows[0], i);
                     for r in &rows[1..] {
-                        w &= r[i];
+                        v = _mm512_and_si512(v, load_masked(m, r, i));
                     }
-                    total += w.count_ones();
-                    i += 1;
+                    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
                 }
-                total
+                _mm512_reduce_add_epi64(acc) as u64 as u32
             }
         }
     }
 
     /// # Safety
-    /// Requires AVX-512F + AVX-512VPOPCNTDQ at runtime.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    /// Requires the `Avx512` feature set `detect()` verifies (AVX-512F,
+    /// AVX-512VPOPCNTDQ, POPCNT); reads stop at the shortest operand.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
     pub unsafe fn and_popcount_block(partial: &[u64], rows: &[&[u64]], out: &mut [u32]) {
         debug_assert!(out.len() >= rows.len());
         for (r, row) in rows.iter().enumerate() {
@@ -867,6 +916,18 @@ mod tests {
         }
     }
 
+    /// The `avx512` module's `target_feature` lists are sound only while
+    /// `detect()` checks every feature they name before selecting the tier.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tier_implies_its_target_features() {
+        if detect() == Dispatch::Avx512 {
+            assert!(std::arch::is_x86_feature_detected!("avx512f"));
+            assert!(std::arch::is_x86_feature_detected!("avx512vpopcntdq"));
+            assert!(std::arch::is_x86_feature_detected!("popcnt"));
+        }
+    }
+
     #[test]
     fn and_compact_matches_dense() {
         for n in [0usize, 1, 4, 7, 16] {
@@ -973,7 +1034,7 @@ mod tests {
             assert!(force(None));
             active()
         };
-        let n = 37; // ragged: exercises 8-word vector body + scalar tail
+        let n = 37; // ragged: exercises 8-word vector body + remainder step
         let partial = lcg_words(n, 13);
         let rows_owned: Vec<Vec<u64>> = (0..SWEEP_BLOCK as u64)
             .map(|s| lcg_words(n, 200 + s))

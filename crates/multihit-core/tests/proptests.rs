@@ -155,52 +155,136 @@ proptest! {
     }
 }
 
-/// Strategy: a ragged pair of equal-length word slices, biased to exercise
-/// the 4-way unroll remainder (lengths straddling multiples of 4) and a
-/// partial final word (high lanes masked off).
-fn word_pairs() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
-    (0usize..19, 0u32..64).prop_flat_map(|(len, tail_bits)| {
-        (
-            prop::collection::vec(any::<u64>(), len),
-            prop::collection::vec(any::<u64>(), len),
-            Just(if tail_bits == 0 {
+/// Serializes the tests that pin the process-wide kernel tier, so two of
+/// them cannot interleave their `force` / `force(None)` sequences.
+static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn force_lock() -> std::sync::MutexGuard<'static, ()> {
+    FORCE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+const TIERS: [kernel::Dispatch; 3] = [
+    kernel::Dispatch::Scalar,
+    kernel::Dispatch::Avx2,
+    kernel::Dispatch::Avx512,
+];
+
+/// Widths checked on every case besides the random one: tail-only widths
+/// below one 8-word AVX-512 lane, a whole lane, one past it, the 15- and
+/// 16-word tumour rows of the benchmarks, and a long row.
+const EDGE_WIDTHS: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64];
+
+/// Strategy: three word pools to slice operands from, a random width, how
+/// many words one operand runs past the others (min-length semantics), and
+/// how many high bits of the final word are clear (a partial final word).
+fn word_pools() -> impl Strategy<Value = (Vec<Vec<u64>>, usize, usize, u64)> {
+    (
+        prop::collection::vec(prop::collection::vec(any::<u64>(), 80), 3),
+        0usize..72,
+        0usize..4,
+        0u32..64,
+    )
+        .prop_map(|(pools, width, skew, tail_bits)| {
+            let tail = if tail_bits == 0 {
                 u64::MAX
             } else {
                 u64::MAX >> tail_bits
-            }),
-        )
-    })
+            };
+            (pools, width, skew, tail)
+        })
+}
+
+/// Compare every dispatched op against its `*_scalar` twin on operands of
+/// width `w` cut from `pools`: `b` and `c` run `skew` words longer than
+/// `a`, and `and_store_popcount`'s `dst` carries sentinel words past `w`
+/// that must come back unchanged.
+fn check_ops_at_width(
+    tier: kernel::Dispatch,
+    pools: &[Vec<u64>],
+    w: usize,
+    skew: usize,
+    tail: u64,
+) -> Result<(), String> {
+    const SENTINEL: u64 = 0xA5A5_5A5A_DEAD_BEEF;
+    let mut a = pools[0][..w].to_vec();
+    // Emulate a partial final word the way BitMatrix stores one: the bits
+    // past n_samples are zero.
+    if let Some(last) = a.last_mut() {
+        *last &= tail;
+    }
+    let b = &pools[1][..w + skew];
+    let c = &pools[2][..w + skew];
+    let at = format!("tier={} w={w} skew={skew}", tier.name());
+    prop_assert!(
+        kernel::popcount(&a) == kernel::popcount_scalar(&a),
+        "popcount {at}"
+    );
+    prop_assert!(
+        kernel::popcount(b) == kernel::popcount_scalar(b),
+        "popcount {at}"
+    );
+    prop_assert!(
+        kernel::and_popcount(&a, b) == kernel::and_popcount_scalar(&a, b)
+            && kernel::and_popcount(b, &a) == kernel::and_popcount_scalar(b, &a),
+        "and_popcount {at}"
+    );
+    prop_assert!(
+        kernel::and3_popcount(b, c, &a) == kernel::and3_popcount_scalar(b, c, &a),
+        "and3_popcount {at}"
+    );
+    let mut dst_v = vec![SENTINEL; w + skew + 3];
+    let mut dst_s = dst_v.clone();
+    let pop_v = kernel::and_store_popcount(&mut dst_v, &a, b);
+    let pop_s = kernel::and_store_popcount_scalar(&mut dst_s, &a, b);
+    prop_assert!(pop_v == pop_s && dst_v == dst_s, "and_store_popcount {at}");
+    prop_assert!(
+        dst_v[w..].iter().all(|&x| x == SENTINEL),
+        "and_store_popcount wrote past n {at}"
+    );
+    for rows in [&[b][..], &[b, &a, c], &[b, c, &a, b, c]] {
+        prop_assert!(
+            kernel::and_rows_popcount(rows) == kernel::and_rows_popcount_scalar(rows),
+            "and_rows_popcount rows={} {at}",
+            rows.len()
+        );
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Every dispatch tier the host supports, pinned in turn, agrees with
+    /// the scalar twins on all five word ops. A tier the host refuses is
+    /// skipped and named once on stderr, so a log shows what ran.
     #[test]
-    fn kernel_dispatch_matches_scalar((mut a, mut b, tail) in word_pairs()) {
-        // Emulate a partial final word the way BitMatrix stores one: the
-        // bits past n_samples are zero.
-        if let (Some(la), Some(lb)) = (a.last_mut(), b.last_mut()) {
-            *la &= tail;
-            *lb &= tail;
+    fn kernel_dispatch_matches_scalar((pools, width, skew, tail) in word_pools()) {
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        let _guard = force_lock();
+        let detected = {
+            kernel::force(None);
+            kernel::active()
+        };
+        REPORT.call_once(|| {
+            let skipped: Vec<&str> =
+                TIERS.iter().filter(|&&t| t > detected).map(|t| t.name()).collect();
+            eprintln!("kernel tiers: detected {}, skipped {:?}", detected.name(), skipped);
+        });
+        for tier in TIERS {
+            if !kernel::force(Some(tier)) {
+                continue; // tier not supported on this host
+            }
+            for w in std::iter::once(width).chain(EDGE_WIDTHS) {
+                let checked = check_ops_at_width(tier, &pools, w, skew, tail);
+                if checked.is_err() {
+                    kernel::force(None);
+                }
+                checked?;
+            }
         }
-        prop_assert_eq!(kernel::popcount(&a), kernel::popcount_scalar(&a));
-        prop_assert_eq!(kernel::and_popcount(&a, &b), kernel::and_popcount_scalar(&a, &b));
-        let c: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-        prop_assert_eq!(
-            kernel::and3_popcount(&a, &b, &c),
-            kernel::and3_popcount_scalar(&a, &b, &c)
-        );
-        let mut dst_v = vec![0u64; a.len()];
-        let mut dst_s = vec![0u64; a.len()];
-        let pop_v = kernel::and_store_popcount(&mut dst_v, &a, &b);
-        let pop_s = kernel::and_store_popcount_scalar(&mut dst_s, &a, &b);
-        prop_assert_eq!(pop_v, pop_s);
-        prop_assert_eq!(dst_v, dst_s);
-        let rows = [a.as_slice(), b.as_slice(), c.as_slice()];
-        prop_assert_eq!(
-            kernel::and_rows_popcount(&rows),
-            kernel::and_rows_popcount_scalar(&rows)
-        );
+        kernel::force(None);
     }
 
     #[test]
@@ -545,6 +629,7 @@ proptest! {
     /// that tier is skipped gracefully — the remaining tiers still compare.
     #[test]
     fn dispatch_tiers_agree_on_block_kernels((mut partial, mut rows, tail) in row_block()) {
+        let _guard = force_lock();
         if let Some(last) = partial.last_mut() {
             *last &= tail;
         }
@@ -557,11 +642,7 @@ proptest! {
         let mut want = vec![0u32; refs.len()];
         kernel::and_popcount_block_scalar(&partial, &refs, &mut want);
         let single_want = kernel::and_popcount_scalar(&partial, refs[0]);
-        for tier in [
-            kernel::Dispatch::Scalar,
-            kernel::Dispatch::Avx2,
-            kernel::Dispatch::Avx512,
-        ] {
+        for tier in TIERS {
             if !kernel::force(Some(tier)) {
                 continue; // tier not supported on this host
             }
