@@ -1104,19 +1104,6 @@ pub struct ModeledRun {
 }
 
 impl ModeledRun {
-    /// Per-rank total computation time across iterations (Fig 8's bars).
-    #[must_use]
-    pub fn rank_comp_totals(&self) -> Vec<f64> {
-        let ranks = self.iterations.first().map_or(0, |i| i.per_rank_comp.len());
-        let mut out = vec![0.0; ranks];
-        for it in &self.iterations {
-            for (o, c) in out.iter_mut().zip(&it.per_rank_comp) {
-                *o += c;
-            }
-        }
-        out
-    }
-
     /// Total communication time across iterations.
     #[must_use]
     pub fn comm_total(&self) -> f64 {

@@ -21,7 +21,6 @@
 use crate::bitmat::BitMatrix;
 use crate::combin::unrank_pair;
 use crate::kernel;
-use crate::obs::Obs;
 use crate::weight::{score_combo, Alpha, Scored};
 
 /// Which prefetch level the scoring kernel runs with.
@@ -180,38 +179,6 @@ pub fn scan_3hit(
         }
     }
     ScanResult { best, stats }
-}
-
-/// [`scan_3hit`] with observability: wraps the scan in a `memopt_scan` span,
-/// and emits one `memopt_scan` point (`level`, `scan_ns`, the
-/// [`AccessStats`] word traffic).
-#[must_use]
-pub fn scan_3hit_obs(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    level: MemOptLevel,
-    obs: &Obs,
-) -> ScanResult {
-    let span = obs.span("memopt_scan");
-    let start = std::time::Instant::now();
-    let result = scan_3hit(tumor, normal, alpha, level);
-    let scan_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if obs.is_enabled() {
-        obs.point(
-            "memopt_scan",
-            &[
-                ("level", level.name().into()),
-                ("scan_ns", scan_ns.into()),
-                ("inner_reads", result.stats.inner_reads.into()),
-                ("prefetch_reads", result.stats.prefetch_reads.into()),
-                ("and_ops", result.stats.and_ops.into()),
-                ("words_per_row", tumor.words_per_row().into()),
-            ],
-        );
-    }
-    drop(span);
-    result
 }
 
 #[allow(clippy::too_many_arguments)]

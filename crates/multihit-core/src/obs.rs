@@ -1101,14 +1101,6 @@ impl RunReport {
         self.greedy_iters.iter().map(|i| i.words_skipped).sum()
     }
 
-    /// Genes removed by kernelization (0 when it did not run).
-    #[must_use]
-    pub fn genes_removed(&self) -> u64 {
-        self.kernelize
-            .as_ref()
-            .map_or(0, |k| k.useless_genes + k.dominated_genes)
-    }
-
     /// Fraction of iterations the frontier skipped the full scan (0.0 on
     /// empty runs).
     #[must_use]

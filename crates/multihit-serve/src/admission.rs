@@ -94,12 +94,6 @@ impl Admission {
         }
     }
 
-    /// The configuration this accountant enforces.
-    #[must_use]
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
     /// Charge one request to `tenant` at the current wall clock.
     pub fn try_admit(&self, tenant: u32) -> bool {
         self.try_admit_at(tenant, Instant::now())
@@ -168,17 +162,6 @@ impl Admission {
                 )
             })
             .collect()
-    }
-
-    /// Total admission-shed count across tenants.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.buckets
-            .lock()
-            .expect("admission poisoned")
-            .values()
-            .map(|b| b.shed)
-            .sum()
     }
 }
 

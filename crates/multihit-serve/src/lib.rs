@@ -14,8 +14,8 @@
 //!   bit-signatures travel verbatim and decode straight into batch slots.
 //! * [`poll`] — readiness poller (raw epoll on Linux) behind the reactor.
 //! * [`queue`] — hand-built bounded MPMC [`queue::BoundedQueue`] with
-//!   explicit `QueueFull` rejection and an adaptive batch fill window
-//!   (backpressure by shedding, never by unbounded buffering).
+//!   explicit `QueueFull` rejection (backpressure by shedding, never by
+//!   unbounded buffering).
 //! * [`admission`] — per-tenant fair-share token accounting in front of
 //!   the queues: an overloaded tenant is shed at its budget while every
 //!   other tenant keeps its full goodput.
@@ -25,7 +25,8 @@
 //!   generation and the sample's packed bit-signature.
 //! * [`server`] — the sharded worker pool: requests coalesce into
 //!   `BitMatrix` batches scored by the `multihit-core` AND+popcount
-//!   kernels, bit-identical to scalar classification.
+//!   kernels, bit-identical to scalar classification. Each worker keeps
+//!   a fixed-size latency histogram and hands it back when it is joined.
 //! * [`tcp`] — event-loop front end: one reactor thread multiplexes
 //!   1k+ non-blocking connections over both wire protocols.
 //! * [`loadgen`] — load generator checking the CI gate's
@@ -34,6 +35,7 @@
 pub mod admission;
 pub mod cache;
 pub mod frame;
+mod latency;
 pub mod loadgen;
 pub mod poll;
 pub mod protocol;

@@ -37,6 +37,7 @@
 
 use crate::admission::AdmissionConfig;
 use crate::frame::{self, FrameDecoder, Msg};
+use crate::latency::LatencyHistogram;
 use crate::poll::{Interest, Poller};
 use crate::protocol::{Request, Response, Status};
 use crate::publish;
@@ -287,7 +288,8 @@ pub struct PhaseStats {
     pub queue_rejected_full: u64,
     /// Requests shed at admission (over tenant budget).
     pub admission_shed: u64,
-    /// Client-observed p99 latency, nanoseconds (TCP phases).
+    /// p99 latency, nanoseconds: client-observed in the TCP phases, the
+    /// server's own in-process (0 when nothing was answered).
     pub client_p99_ns: u64,
     /// Hot swaps published during the phase.
     pub swaps: u64,
@@ -399,19 +401,6 @@ fn judge(resp: &Response, profile: usize, pinned: Option<u64>, gens: &[GenRef]) 
         }
         Status::Shed => (0, 1),
         Status::Error => (1, 0),
-    }
-}
-
-/// Nearest-rank percentile (ceil convention): the smallest sample with at
-/// least `q` of the distribution at or below it. `.round()` here would
-/// bias the tail low — p99 of 100 sorted samples must report index 99
-/// (the max), not round 98.01 down to index 98.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        0
-    } else {
-        let rank = ((sorted.len() - 1) as f64 * q).ceil() as usize;
-        sorted[rank.min(sorted.len() - 1)]
     }
 }
 
@@ -667,7 +656,7 @@ fn run_tcp_phase(
     let mut lost = 0u64;
     let mut divergent = 0u64;
     let mut shed = 0u64;
-    let mut latencies: Vec<u64> = Vec::with_capacity(n_req as usize);
+    let mut latency = LatencyHistogram::default();
     let mut rng = Rng(cfg.seed ^ 0x7cb);
     let mut events = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -785,8 +774,8 @@ fn run_tcp_phase(
                                 divergent += 1;
                                 continue;
                             };
-                            latencies
-                                .push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                            latency
+                                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
                             inflight -= 1;
                             completed += 1;
                             let pinned = if binary { Some(v) } else { None };
@@ -824,7 +813,6 @@ fn run_tcp_phase(
     let admission_shed = server.admission_shed();
     handle.stop();
     let report = server.shutdown();
-    latencies.sort_unstable();
     PhaseStats {
         throughput_rps: completed as f64 / elapsed_secs.max(1e-9),
         lost,
@@ -832,7 +820,7 @@ fn run_tcp_phase(
         shed,
         queue_rejected_full,
         admission_shed,
-        client_p99_ns: percentile(&latencies, 0.99),
+        client_p99_ns: latency.quantile(0.99),
         swaps,
         report,
     }
@@ -1247,25 +1235,6 @@ mod tests {
         );
         let json = out.json.as_ref().unwrap();
         assert_eq!(json.report.ok + json.report.shed + json.report.errors, 600);
-    }
-
-    #[test]
-    fn percentile_is_ceil_based_nearest_rank() {
-        // p99 of 100 evenly spread samples must be the max — the old
-        // `.round()` convention reported index 98 (it rounded 98.01 down).
-        let hundred: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&hundred, 0.99), 100);
-        assert_eq!(percentile(&hundred, 0.50), 51); // ceil(49.5) = 50
-        assert_eq!(percentile(&hundred, 0.0), 1);
-        assert_eq!(percentile(&hundred, 1.0), 100);
-        // Small distributions: every quantile lands on a real sample, and
-        // the rank never rounds below the mass it must cover.
-        let five = [10u64, 20, 30, 40, 50];
-        assert_eq!(percentile(&five, 0.50), 30);
-        assert_eq!(percentile(&five, 0.75), 40);
-        assert_eq!(percentile(&five, 0.99), 50);
-        assert_eq!(percentile(&[7], 0.99), 7);
-        assert_eq!(percentile(&[], 0.5), 0);
     }
 
     #[test]

@@ -76,48 +76,14 @@ impl<T> BoundedQueue<T> {
     /// items in FIFO order. Returns `None` once the queue is closed *and*
     /// empty — the worker-loop exit condition.
     pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        self.pop_batch_window(max, std::time::Duration::ZERO)
-    }
-
-    /// Like [`Self::pop_batch`], with an adaptive fill window: once the
-    /// first item arrives, keep accumulating until the batch reaches `max`
-    /// or `window` elapses — whichever is first — then drain everything
-    /// available (up to `max`). A zero window degenerates to
-    /// drain-what's-there, which is already batch-forming under load; the
-    /// window only changes behavior in the trickle regime where it trades
-    /// bounded latency for batch fill.
-    pub fn pop_batch_window(&self, max: usize, window: std::time::Duration) -> Option<Vec<T>> {
-        let max = max.max(1);
         let mut s = self.state.lock().expect("queue poisoned");
-        // Phase 1: block for the first item (or close).
-        loop {
-            if !s.items.is_empty() {
-                break;
-            }
+        while s.items.is_empty() {
             if s.closed {
                 return None;
             }
             s = self.nonempty.wait(s).expect("queue poisoned");
         }
-        // Phase 2: accumulate inside the window.
-        if !window.is_zero() && s.items.len() < max && !s.closed {
-            let deadline = std::time::Instant::now() + window;
-            while s.items.len() < max && !s.closed {
-                let now = std::time::Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (guard, timeout) = self.nonempty.wait_timeout(s, left).expect("queue poisoned");
-                s = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        let take = max.min(s.items.len());
+        let take = max.max(1).min(s.items.len());
         Some(s.items.drain(..take).collect())
     }
 
@@ -201,42 +167,6 @@ mod tests {
         assert_eq!(q.rejected_full(), 1);
         assert_eq!(q.rejected_closed(), 1);
         assert_eq!(q.rejections(), 2);
-    }
-
-    #[test]
-    fn fill_window_accumulates_then_fires() {
-        let q = Arc::new(BoundedQueue::new(64));
-        q.try_push(0).unwrap();
-        let q2 = Arc::clone(&q);
-        let feeder = std::thread::spawn(move || {
-            for i in 1..4 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                q2.try_push(i).unwrap();
-            }
-        });
-        // A generous window collects the trickle into one batch.
-        let batch = q
-            .pop_batch_window(4, std::time::Duration::from_millis(500))
-            .unwrap();
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        feeder.join().unwrap();
-        // A zero window drains only what is present.
-        q.try_push(9).unwrap();
-        q.try_push(10).unwrap();
-        let batch = q.pop_batch_window(8, std::time::Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![9, 10]);
-    }
-
-    #[test]
-    fn fill_window_times_out_with_partial_batch() {
-        let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        let started = std::time::Instant::now();
-        let batch = q
-            .pop_batch_window(4, std::time::Duration::from_millis(20))
-            .unwrap();
-        assert_eq!(batch, vec![1]);
-        assert!(started.elapsed() >= std::time::Duration::from_millis(15));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! submit ── registry.load() (epoch-cached) ── signature pack ── shard hash
 //!     │                                                          │
 //!     ▼                                                          ▼ try_push
-//! worker (one per shard): pop_batch_window(B, W) → per-(version, panel)
+//! worker (one per shard): pop_batch(B) → per-(version, panel)
 //!     grouping → LRU cache probe → misses packed as columns of one
 //!     BitMatrix → ComboClassifier::classify_batch (the multihit-core
 //!     AND+popcount kernel path) → responses + cache fill
@@ -27,6 +27,7 @@
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::LruCache;
+use crate::latency::LatencyHistogram;
 use crate::protocol::{Request, Response};
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::registry::{ModelRegistry, Panel, RegistryReader, SharedRegistry, VersionedRegistry};
@@ -48,11 +49,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-shard LRU cache entries (0 disables caching).
     pub cache_cap: usize,
-    /// Adaptive batch fill window, nanoseconds: after the first job of a
-    /// batch arrives, the worker keeps accumulating until the batch is
-    /// full or this window elapses. 0 (the default) drains whatever is
-    /// queued without waiting — already batch-forming under load.
-    pub fill_window_ns: u64,
     /// Artificial per-batch scoring delay, nanoseconds — a test/bench aid
     /// that emulates heavier models so backpressure paths can be exercised
     /// deterministically. 0 (the default) for real serving.
@@ -70,7 +66,6 @@ impl Default for ServeConfig {
             batch_max: 64,
             queue_cap: 1024,
             cache_cap: 4096,
-            fill_window_ns: 0,
             score_delay_ns: 0,
             admission: AdmissionConfig::default(),
         }
@@ -148,10 +143,11 @@ pub struct Server {
     shared: Arc<SharedRegistry>,
     cfg: ServeConfig,
     queues: Vec<Arc<BoundedQueue<Job>>>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<LatencyHistogram>>>,
     stats: Arc<Stats>,
     admission: Option<Admission>,
-    latencies: Arc<Mutex<Vec<u64>>>,
+    /// Latencies of the workers joined so far.
+    latency: Mutex<LatencyHistogram>,
     obs: Obs,
     started: Instant,
 }
@@ -176,19 +172,18 @@ impl Server {
             workers: Mutex::new(Vec::new()),
             stats: Arc::new(Stats::default()),
             admission: (cfg.admission.total_rps > 0).then(|| Admission::new(cfg.admission)),
-            latencies: Arc::new(Mutex::new(Vec::new())),
+            latency: Mutex::new(LatencyHistogram::default()),
             obs: obs.clone(),
             started: Instant::now(),
         });
         let mut workers = server.workers.lock().expect("workers poisoned");
         for (shard, queue) in queues.into_iter().enumerate() {
             let stats = Arc::clone(&server.stats);
-            let latencies = Arc::clone(&server.latencies);
             let cfg = cfg.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard}"))
-                    .spawn(move || worker_loop(&queue, &cfg, &stats, &latencies))
+                    .spawn(move || worker_loop(&queue, &cfg, &stats))
                     .expect("spawn serve worker"),
             );
         }
@@ -227,12 +222,6 @@ impl Server {
         let registry = ModelRegistry::from_tsv_texts(panels)?;
         self.stats.publishes.fetch_add(1, Ordering::Relaxed);
         Ok(self.swap_registry(registry))
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// Total queue-full rejections across shards (for asserting that every
@@ -389,22 +378,16 @@ impl Server {
         for q in &self.queues {
             q.close();
         }
+        // Latency lock first: a concurrent shutdown waits for the merge
+        // instead of reporting before it.
+        let mut latency = self.latency.lock().expect("latency poisoned");
         let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
         for w in workers {
-            let _ = w.join();
+            if let Ok(h) = w.join() {
+                latency.merge(&h);
+            }
         }
         let elapsed = self.started.elapsed().as_secs_f64();
-        let mut lat = self.latencies.lock().expect("latencies poisoned").clone();
-        lat.sort_unstable();
-        // Ceil-based nearest rank: round() biases the tail percentiles low
-        // at small sample counts (p99 of 100 samples must report the max).
-        let pct = |q: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[(((lat.len() - 1) as f64 * q).ceil() as usize).min(lat.len() - 1)]
-            }
-        };
         let ok = self.stats.ok.load(Ordering::Relaxed);
         let tenants: Vec<TenantReport> = self
             .tenant_counters()
@@ -435,9 +418,9 @@ impl Server {
             publishes: self.stats.publishes.load(Ordering::Relaxed),
             reactor_loops: self.stats.reactor_loops.load(Ordering::Relaxed),
             reactor_busy_ns: self.stats.reactor_busy_ns.load(Ordering::Relaxed),
-            p50_latency_ns: pct(0.50),
-            p95_latency_ns: pct(0.95),
-            p99_latency_ns: pct(0.99),
+            p50_latency_ns: latency.quantile(0.50),
+            p95_latency_ns: latency.quantile(0.95),
+            p99_latency_ns: latency.quantile(0.99),
             throughput_rps: if elapsed > 0.0 {
                 ok as f64 / elapsed
             } else {
@@ -507,25 +490,19 @@ fn sig_hash(panel_id: u32, sig: &[u64]) -> u64 {
 /// retired registry can never answer a request packed against a newer one.
 type CacheKey = (u64, u32, Vec<u64>);
 
-fn worker_loop(
-    queue: &BoundedQueue<Job>,
-    cfg: &ServeConfig,
-    stats: &Stats,
-    latencies: &Mutex<Vec<u64>>,
-) {
+/// Serve `queue` until it closes; returns the latencies of every answer.
+fn worker_loop(queue: &BoundedQueue<Job>, cfg: &ServeConfig, stats: &Stats) -> LatencyHistogram {
     let mut cache: LruCache<CacheKey, bool> = LruCache::new(cfg.cache_cap);
-    let mut batch_latencies: Vec<u64> = Vec::new();
-    let fill_window = Duration::from_nanos(cfg.fill_window_ns);
+    let mut latency = LatencyHistogram::default();
     // Newest registry generation this shard has served. When it advances
     // (a hot swap), entries two or more generations old are purged: the
     // resolver only ever admits the current generation or the one it
     // displaced, so anything older is dead weight squatting in the LRU.
     let mut latest_gen = 0u64;
-    while let Some(batch) = queue.pop_batch_window(cfg.batch_max, fill_window) {
+    while let Some(batch) = queue.pop_batch(cfg.batch_max) {
         let queue_depth = batch.len() as u64 + queue.len() as u64;
         stats.observe_depth(queue_depth);
         let batch_size = batch.len() as u64;
-        batch_latencies.clear();
 
         // Group the batch per (generation, panel); each group scores as
         // one BitMatrix under that generation's classifier.
@@ -558,7 +535,7 @@ fn worker_loop(
                 let key = (version, panel_id, std::mem::take(&mut job.signature));
                 if let Some(tumor) = cache.get(&key) {
                     stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    respond_ok(&job, tumor, true, stats, &mut batch_latencies);
+                    respond_ok(&job, tumor, true, stats, &mut latency);
                 } else {
                     misses.push((key, job));
                 }
@@ -580,7 +557,7 @@ fn worker_loop(
             let verdicts = panel.classifier.classify_batch(&m);
             for ((key, job), tumor) in misses.into_iter().zip(verdicts) {
                 cache.insert(key, tumor);
-                respond_ok(&job, tumor, false, stats, &mut batch_latencies);
+                respond_ok(&job, tumor, false, stats, &mut latency);
             }
         }
         if cfg.score_delay_ns > 0 {
@@ -592,11 +569,8 @@ fn worker_loop(
             .batched_samples
             .fetch_add(batch_size, Ordering::Relaxed);
         stats.score_ns.fetch_add(score_ns, Ordering::Relaxed);
-        latencies
-            .lock()
-            .expect("latencies poisoned")
-            .extend_from_slice(&batch_latencies);
     }
+    latency
 }
 
 fn respond_ok(
@@ -604,10 +578,10 @@ fn respond_ok(
     tumor: bool,
     cache_hit: bool,
     stats: &Stats,
-    batch_latencies: &mut Vec<u64>,
+    latency: &mut LatencyHistogram,
 ) {
     stats.ok.fetch_add(1, Ordering::Relaxed);
-    batch_latencies.push(u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    latency.record(u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX));
     job.reply
         .send(Response::ok(job.id, tumor, cache_hit, job.version).with_tenant(job.tenant));
 }
@@ -1048,10 +1022,18 @@ mod tests {
     #[test]
     fn shutdown_is_idempotent_and_sheds_late_submits() {
         let (server, obs) = small_server(ServeConfig::default());
+        let client = InProcClient::new(Arc::clone(&server));
+        for i in 0..20 {
+            assert!(client.classify("P", &[format!("G{i}")]).is_some());
+        }
         let r1 = server.shutdown();
         let r2 = server.shutdown();
+        assert_eq!(r1.ok, 20);
         assert_eq!(r1.ok, r2.ok);
-        let client = InProcClient::new(Arc::clone(&server));
+        // The joined workers' histograms are kept, not consumed.
+        let quantiles = |r: &ServeReport| (r.p50_latency_ns, r.p95_latency_ns, r.p99_latency_ns);
+        assert_eq!(quantiles(&r1), quantiles(&r2));
+        assert!(r1.p50_latency_ns > 0, "latencies reach the report");
         let resp = client.classify("P", &[]).unwrap();
         assert_eq!(resp.status, crate::protocol::Status::Shed);
         assert!(obs.to_json_lines().contains("serve_summary"));

@@ -523,8 +523,7 @@ fn process_bytes(server: &Arc<Server>, conn: &mut Conn, mut bytes: &[u8]) -> boo
     match conn.mode {
         Mode::Json => {
             conn.line.extend_from_slice(bytes);
-            drain_json_lines(server, conn);
-            false
+            drain_json_lines(server, conn)
         }
         Mode::Binary => {
             conn.decoder.push(bytes);
@@ -534,7 +533,10 @@ fn process_bytes(server: &Arc<Server>, conn: &mut Conn, mut bytes: &[u8]) -> boo
     }
 }
 
-fn drain_json_lines(server: &Arc<Server>, conn: &mut Conn) {
+/// Admit every complete line. Returns `true` to close: an unterminated
+/// tail longer than [`frame::MAX_FRAME`] is refused, as the binary decoder
+/// refuses an oversized frame, so a peer cannot grow the buffer forever.
+fn drain_json_lines(server: &Arc<Server>, conn: &mut Conn) -> bool {
     let mut start = 0usize;
     while let Some(nl) = conn.line[start..].iter().position(|&b| b == b'\n') {
         let end = start + nl;
@@ -557,6 +559,7 @@ fn drain_json_lines(server: &Arc<Server>, conn: &mut Conn) {
     if start > 0 {
         conn.line.drain(..start);
     }
+    conn.line.len() > frame::MAX_FRAME
 }
 
 /// Decode and admit buffered binary frames. Returns `true` to close (a
@@ -772,6 +775,29 @@ mod tests {
         // The server must close without echoing a preamble.
         let n = stream.read(&mut buf).unwrap_or(0);
         assert_eq!(n, 0, "expected EOF, got {:?}", &buf[..n]);
+        handle.stop();
+        server.shutdown();
+    }
+
+    #[test]
+    fn unterminated_json_line_over_max_frame_closes_connection() {
+        let (server, _obs) = test_server();
+        let handle = spawn(Arc::clone(&server), "127.0.0.1:0").unwrap();
+        let mut flood = TcpStream::connect(handle.addr()).unwrap();
+        let timeout = Some(std::time::Duration::from_secs(10));
+        flood.set_read_timeout(timeout).unwrap();
+        flood.write_all(&vec![b'x'; frame::MAX_FRAME + 1]).unwrap();
+        let r = flood.read(&mut [0u8; 16]);
+        assert!(matches!(r, Ok(0)), "expected EOF, got {r:?}");
+        // Other connections are unaffected.
+        let mut ok = TcpStream::connect(handle.addr()).unwrap();
+        ok.write_all(b"{\"id\":5,\"model\":\"P\",\"genes\":\"G1\"}\n")
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(ok).read_line(&mut line).unwrap();
+        let resp = Response::from_json(&line).unwrap();
+        assert_eq!((resp.id, resp.status), (5, Status::Ok));
+        drop(flood);
         handle.stop();
         server.shutdown();
     }

@@ -74,7 +74,6 @@ proptest! {
                 batch_max,
                 queue_cap: 4096, // generous: nothing sheds, everything scores
                 cache_cap,
-                fill_window_ns: 0,
                 score_delay_ns: 0,
                 admission: AdmissionConfig::default(),
             },
@@ -200,7 +199,6 @@ proptest! {
                 batch_max: 1, // no intra-batch dedup: each repeat re-probes
                 queue_cap: 64,
                 cache_cap: 2,
-                fill_window_ns: 0,
                 score_delay_ns: 0,
                 admission: AdmissionConfig::default(),
             },

@@ -17,15 +17,15 @@
 //!                   [--metrics-out M.jsonl] [--trace]
 //! multihit serve    (--results DIR | --synth) [--addr HOST:PORT]
 //!                   [--shards S] [--batch-max B] [--queue-cap Q]
-//!                   [--cache-cap C] [--fill-window-ns W]
-//!                   [--admit-rps R] [--admit-burst-secs S] [--reactors N]
+//!                   [--cache-cap C] [--admit-rps R]
+//!                   [--admit-burst-secs S] [--reactors N]
 //!                   [--duration-secs T] [--metrics-out M.jsonl] [--trace]
 //! multihit loadgen  [--proto inproc|json|binary|all] [--clients N]
 //!                   [--connections C] [--inflight F] [--window W]
 //!                   [--requests R] [--profiles P] [--seed S] [--swaps K]
 //!                   [--swap-gap-ms MS] [--publish] [--shards S]
 //!                   [--batch-max B] [--queue-cap Q] [--cache-cap C]
-//!                   [--fill-window-ns W] [--tenants N] [--admit-rps R]
+//!                   [--tenants N] [--admit-rps R]
 //!                   [--metrics-out M.jsonl] [--trace]
 //! ```
 //!
@@ -650,7 +650,6 @@ fn serve_config_from_args(args: &[String]) -> Result<multihit::serve::ServeConfi
         batch_max: parse_or(args, "--batch-max", 64usize)?,
         queue_cap: parse_or(args, "--queue-cap", 1024usize)?,
         cache_cap: parse_or(args, "--cache-cap", 4096usize)?,
-        fill_window_ns: parse_or(args, "--fill-window-ns", 0u64)?,
         score_delay_ns: 0,
         admission: multihit::serve::AdmissionConfig {
             total_rps: parse_or(args, "--admit-rps", 0u64)?,
@@ -769,12 +768,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             p.report.ok,
             p.report.shed,
             p.swaps,
-            if p.client_p99_ns > 0 {
-                p.client_p99_ns
-            } else {
-                p.report.p99_latency_ns
-            } as f64
-                / 1e6
+            p.client_p99_ns as f64 / 1e6
         );
     }
     if let Some(fair) = outcome.fairness.as_ref() {
@@ -867,13 +861,13 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
            --ft-timeout-ms is the probe interval for silent peers (default
            50); a slow rank is waited for, only a dead one is dropped
   serve    (--results DIR | --synth) [--addr HOST:PORT --shards S
-           --batch-max B --queue-cap Q --cache-cap C --fill-window-ns W
+           --batch-max B --queue-cap Q --cache-cap C
            --admit-rps R --admit-burst-secs B --reactors N
            --duration-secs T --metrics-out M.jsonl --trace]
   loadgen  [--proto inproc|json|binary|all --clients N --connections C
            --inflight F --window W --requests R --profiles P --seed S
            --swaps K --swap-gap-ms MS --publish --shards S --batch-max B
-           --queue-cap Q --cache-cap C --fill-window-ns W
+           --queue-cap Q --cache-cap C
            --tenants N --admit-rps R --metrics-out M.jsonl --trace]";
 
 fn main() -> ExitCode {
