@@ -93,7 +93,13 @@ impl<const H: usize> TopK<H> {
     #[inline]
     #[must_use]
     pub fn floor_score(&self) -> u64 {
-        self.heap.peek().map_or(0, |Reverse(s)| s.score)
+        self.weakest().map_or(0, |s| s.score)
+    }
+
+    /// The weakest retained entry: the one a candidate must beat once full.
+    #[inline]
+    pub(crate) fn weakest(&self) -> Option<&Scored<H>> {
+        self.heap.peek().map(|Reverse(s)| s)
     }
 
     /// Entries currently held.

@@ -24,9 +24,13 @@
 //!   level `t` the partial-AND popcount bounds TP for *every* completion of
 //!   the lower coordinates, so `F_ub = (α·TP_partial + Nn)/(Nt+Nn)`; when
 //!   `F_ub` cannot beat the running best, the entire subtree sharing that
-//!   prefix — `C(c[t], t)` combinations — is skipped. The argmax is
-//!   bit-identical to the un-pruned scan by construction (ties lose to the
-//!   colex-earlier incumbent), and the test suite asserts it.
+//!   prefix — `C(c[t], t)` combinations — is skipped. A pruned whole-range
+//!   scan walks the genes heaviest first (descending tumour popcount), so
+//!   the first combinations it scores set a high floor and the bound cuts
+//!   almost everything after them. Sinks still see caller gene ids, and a
+//!   subtree tying the floor is cut only when every member is provably
+//!   colex-later than the floor's holder, so the argmax is bit-identical to
+//!   the un-pruned scan by construction; the test suite asserts it.
 //! * **Work stealing** ([`best_combination`]): an atomic λ-cursor
 //!   ([`crate::par::BlockQueue`]) hands out guided-size blocks so
 //!   pruning- and splice-induced imbalance cannot stall workers on static
@@ -49,6 +53,7 @@ use crate::par::{self, BlockQueue};
 use crate::reduce::fold_partials;
 use crate::schemes::Scheme4;
 use crate::weight::{Alpha, Combo, Scored};
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -256,6 +261,16 @@ trait Sink<const H: usize> {
     /// The score a combination must exceed to get past what is already
     /// held, or `None` while anything offered would still be kept.
     fn floor(&self) -> Option<u64>;
+    /// The highest gene id of the combination holding the floor; only
+    /// meaningful while [`Self::floor`] is `Some`.
+    fn floor_top(&self) -> u32;
+    /// Whether every combination of the subtree whose fixed scan rows are
+    /// `fixed` loses a tie with the floor holder. In colex scan order it
+    /// does: the holder was scanned colex-earlier.
+    #[inline]
+    fn tie_loses(&self, _fixed: &[u32]) -> bool {
+        true
+    }
 }
 
 /// Argmax: the incumbent itself, replaced by whatever beats it.
@@ -273,6 +288,11 @@ impl<const H: usize> Sink<H> for Scored<H> {
     fn floor(&self) -> Option<u64> {
         Some(self.score)
     }
+
+    #[inline]
+    fn floor_top(&self) -> u32 {
+        self.genes[H - 1]
+    }
 }
 
 /// Top-K: the floor is the weakest entry, and only once K are held.
@@ -285,6 +305,54 @@ impl<const H: usize> Sink<H> for TopK<H> {
     #[inline]
     fn floor(&self) -> Option<u64> {
         self.is_full().then(|| self.floor_score())
+    }
+
+    #[inline]
+    fn floor_top(&self) -> u32 {
+        self.weakest().map_or(u32::MAX, |s| s.genes[H - 1])
+    }
+}
+
+/// A worker's sink seen through a scan-row order: the scanner walks
+/// matrices whose row `r` is gene `genes[r]`, and `inner` only ever sees
+/// caller gene ids, sorted — so the colex tie-break stays on gene ids.
+struct Ordered<'a, S> {
+    inner: &'a mut S,
+    genes: &'a [u32],
+}
+
+impl<const H: usize, S: Sink<H>> Sink<H> for Ordered<'_, S> {
+    #[inline]
+    fn take(&mut self, mut s: Scored<H>) -> bool {
+        // Most leaves lose on score alone; only the rest are mapped.
+        if self.inner.floor().is_some_and(|f| s.score < f) {
+            return false;
+        }
+        for g in &mut s.genes {
+            *g = self.genes[*g as usize];
+        }
+        s.genes.sort_unstable();
+        self.inner.take(s)
+    }
+
+    #[inline]
+    fn floor(&self) -> Option<u64> {
+        self.inner.floor()
+    }
+
+    #[inline]
+    fn floor_top(&self) -> u32 {
+        self.inner.floor_top()
+    }
+
+    /// The row order is not colex order on gene ids, so the holder may be
+    /// colex-later than the subtree. Every member contains the fixed genes,
+    /// so when the largest of them exceeds the holder's top gene, every
+    /// member is colex-later and loses the tie.
+    #[inline]
+    fn tie_loses(&self, fixed: &[u32]) -> bool {
+        let top = fixed.iter().map(|&r| self.genes[r as usize]).max();
+        top.is_some_and(|g| g > self.inner.floor_top())
     }
 }
 
@@ -735,9 +803,9 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
     /// exhausted; `remaining == 0` on return means the range ended inside a
     /// pruned subtree. `cut: None` is the exhaustive walk.
     ///
-    /// A subtree is cut when its bound does not *exceed* the sink's floor:
-    /// whatever holds the floor was scanned colex-earlier, so a tie inside
-    /// the subtree loses under [`Scored::cmp_det`]. `shared` carries floors
+    /// A subtree is cut when its bound is below the sink's floor, or equal
+    /// to it and the sink proves that a tie inside the subtree loses under
+    /// [`Scored::cmp_det`] ([`Sink::tie_loses`]). `shared` carries floors
     /// published by other workers, whose holders may be colex-*later* than
     /// this subtree, so that cut needs the bound strictly below it.
     //
@@ -786,8 +854,9 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
                 }
                 let Some(sink) = cut else { continue };
                 let bound = self.alpha.score(self.pop_t[level], self.n_normal);
-                if sink.floor().is_some_and(|f| bound <= f)
-                    || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed))
+                if sink.floor().is_some_and(|f| {
+                    bound < f || (bound == f && sink.tie_loses(&self.combo[level..]))
+                }) || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed))
                 {
                     let subtree = binomial(u64::from(self.combo[level]), level as u64);
                     let skipped = subtree.min(*remaining);
@@ -941,12 +1010,35 @@ fn build_skip(
     (mode == SparseMode::On || frac >= SPARSE_AUTO_THRESHOLD).then_some((ts, ns))
 }
 
+/// Gene ids heaviest first: descending (masked) tumour popcount, ties by
+/// ascending id. A row's popcount is the top-level bound of every
+/// combination it heads, so in this order the bound only falls as the walk
+/// proceeds and the heavy combinations are scored first.
+fn popcount_order(tumor: &BitMatrix, tumor_mask: Option<&[u64]>) -> Vec<u32> {
+    let weight = |g: usize| match tumor_mask {
+        Some(m) => kernel::and_popcount(tumor.row(g), m),
+        None => tumor.row_popcount(g),
+    };
+    let mut keyed: Vec<(Reverse<u32>, u32)> = (0..tumor.n_genes())
+        .map(|g| (Reverse(weight(g)), g as u32))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, g)| g).collect()
+}
+
 /// Walk all `C(G,H)` combinations into one sink per worker.
 ///
 /// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
 /// one worker per core; each worker threads its own sink through the
 /// (colex-ascending) blocks it takes and, when pruning, publishes the
 /// sink's floor to a shared atomic that tightens every worker's cut.
+///
+/// A pruned scan walks the genes heaviest first ([`popcount_order`]), over
+/// row-permuted copies of both matrices, so that the first combinations
+/// scored set a high floor and the bound cuts early. Each worker's sink is
+/// wrapped in [`Ordered`], which maps the scanned rows back to gene ids:
+/// the sinks come back holding exactly what an identity-order scan leaves.
+/// An unpruned scan keeps the identity order and pays nothing.
 ///
 /// `seed` hot-starts that shared bound. It must be a floor the **current**
 /// matrices witness — as many combinations scoring at least `seed` as a
@@ -972,6 +1064,14 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
         par::default_workers().min(cap).max(1)
     } else {
         1
+    };
+    let order = cfg.prune.then(|| popcount_order(tumor, tumor_mask));
+    let ordered = order
+        .as_deref()
+        .map(|o| (tumor.select_rows(o), normal.select_rows(o)));
+    let (tumor, normal) = match &ordered {
+        Some((t, n)) => (t, n),
+        None => (tumor, normal),
     };
     let skip = build_skip(cfg.sparse, tumor, normal);
     let make_scanner = |start: u64| {
@@ -1015,7 +1115,17 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
                     scanner.insert(make_scanner(lo))
                 }
             };
-            sc.walk(hi - lo, &mut sink, cfg.prune, shared.as_ref(), &mut st);
+            let (count, shared) = (hi - lo, shared.as_ref());
+            match order.as_deref() {
+                Some(genes) => {
+                    let mut sink = Ordered {
+                        inner: &mut sink,
+                        genes,
+                    };
+                    sc.walk(count, &mut sink, cfg.prune, shared, &mut st);
+                }
+                None => sc.walk(count, &mut sink, cfg.prune, shared, &mut st),
+            }
         }
         if let Some(sc) = &scanner {
             st.words_skipped = sc.words_skipped();
@@ -2204,6 +2314,138 @@ mod tests {
                 "H=4 width={width}"
             );
         }
+    }
+
+    /// `(scored, pruned_subtrees, pruned_combos)` of every pruned scan shape
+    /// through `scan_range`, which walks in popcount order: the argmax scan,
+    /// the same scan seeded with the argmax's score, and the top-K scan
+    /// (K = 1, 4, 64).
+    fn ordered_cut_counts<const H: usize>(
+        g: usize,
+        seed: u64,
+        block_sweep: bool,
+    ) -> Vec<(u64, u64, u64)> {
+        let (t, n) = lcg_matrices(g, 130, 70, seed);
+        let cfg = GreedyConfig {
+            parallel: false,
+            block_sweep,
+            ..GreedyConfig::default()
+        };
+        let triple = |st: ScanStats| (st.scored, st.pruned_subtrees, st.pruned_combos);
+        let argmax = |seed| scan_range(&t, &n, None, &cfg, seed, || Scored::<H>::NEG_INFINITY);
+        let (bests, st) = argmax(0);
+        let mut out = vec![triple(st), triple(argmax(bests[0].score).1)];
+        for k in [1usize, 4, 64] {
+            out.push(triple(
+                scan_range(&t, &n, None, &cfg, 0, || TopK::<H>::new(k)).1,
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn ordered_cut_decisions_are_pinned() {
+        // The popcount-ordered twin of `cut_decisions_are_pinned`, on the
+        // same matrices: a change to the order, the `Ordered` adapter or the
+        // tie rule that still finds the right winners fails here.
+        for block_sweep in [false, true] {
+            assert_eq!(
+                ordered_cut_counts::<3>(30, 7, block_sweep),
+                [
+                    (2057, 128, 2003),
+                    (2045, 129, 2015),
+                    (2057, 128, 2003),
+                    (2879, 66, 1181),
+                    (3781, 13, 279)
+                ],
+                "H=3 block_sweep={block_sweep}"
+            );
+            assert_eq!(
+                ordered_cut_counts::<4>(16, 11, block_sweep),
+                [
+                    (332, 320, 1488),
+                    (332, 320, 1488),
+                    (332, 320, 1488),
+                    (463, 280, 1357),
+                    (1193, 102, 627)
+                ],
+                "H=4 block_sweep={block_sweep}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_scan_lets_the_colex_earlier_tie_win() {
+        // Gene 0 is the heaviest row, gene 2 the next, gene 1 the lightest,
+        // so the ordered walk scores {0,2} (TP 4) first. The subtree that
+        // holds {0,1} (TP 4 too, and colex-earlier) then has a bound equal
+        // to the floor; cutting it as a colex-order walk would leaves {0,2}
+        // the winner. No normal sample is mutated, so TN is always 4.
+        let t = BitMatrix::from_rows(
+            3,
+            8,
+            &[
+                vec![0, 1, 2, 3, 4, 5],
+                vec![0, 1, 2, 3],
+                vec![0, 1, 2, 4, 6],
+            ],
+        );
+        let n = BitMatrix::zeros(3, 4);
+        assert_eq!(popcount_order(&t, None), [0, 2, 1]);
+        let want = [0, 1];
+        for block_sweep in [false, true] {
+            let cfg = GreedyConfig {
+                parallel: false,
+                block_sweep,
+                ..GreedyConfig::default()
+            };
+            let exhaustive = GreedyConfig {
+                prune: false,
+                ..cfg
+            };
+            assert_eq!(best_combination::<2>(&t, &n, None, &exhaustive).genes, want);
+            let (got, st) = best_combination_stats::<2>(&t, &n, None, &cfg);
+            assert_eq!(got.genes, want, "block_sweep={block_sweep}");
+            assert_eq!((st.scored, st.pruned_combos), (3, 0));
+            let top1 = GreedyConfig {
+                frontier_k: 1,
+                ..cfg
+            };
+            let (got, _, fr) = best_combination_frontier::<2>(&t, &n, None, &top1, 0);
+            assert_eq!(got.genes, want, "top-1 block_sweep={block_sweep}");
+            assert_eq!(fr.entries().len(), 1);
+        }
+    }
+
+    #[test]
+    fn run_report_counts_only_what_the_scans_enumerated() {
+        // Frontier hits enumerate nothing, so neither the scored count nor
+        // the pruned fraction may charge them C(G,H).
+        let (t, n) = lcg_matrices(40, 130, 70, 5);
+        let obs = Obs::enabled();
+        let cfg = GreedyConfig {
+            parallel: false,
+            ..GreedyConfig::default()
+        };
+        let _ = discover_obs::<3>(&t, &n, &cfg, &obs);
+        let report = RunReport::from_events(&obs.events());
+        assert!(report.frontier_hits() > 0, "need a run with frontier hits");
+        for i in &report.greedy_iters {
+            let enumerated = i.scan_scored + i.pruned_combos;
+            let want = if i.frontier_hit == 1 {
+                0
+            } else {
+                i.combos_scored
+            };
+            assert_eq!(enumerated, want, "iteration {}", i.iter);
+        }
+        let scored: u64 = report.greedy_iters.iter().map(|i| i.scan_scored).sum();
+        let pruned = report.total_pruned_combos();
+        assert_eq!(report.total_combos_scored(), scored);
+        assert_eq!(
+            report.pruned_fraction(),
+            pruned as f64 / (scored + pruned) as f64
+        );
     }
 
     #[test]

@@ -634,16 +634,19 @@ pub struct GreedyIterReport {
     pub iter: u64,
     /// Wall time of the argmax scan, nanoseconds.
     pub scan_ns: u64,
-    /// Combinations scored by the scan.
+    /// The size of the iteration's enumeration, `C(G,H)` over the genes it
+    /// searched: what an exhaustive scan would score, whether or not this
+    /// iteration scanned at all. See `scan_scored` for what was scored.
     pub combos_scored: u64,
-    /// Scan throughput, combinations per second.
+    /// `combos_scored` per second of `scan_ns`.
     pub combos_per_sec: f64,
     /// Tumor samples newly covered.
     pub newly_covered: u64,
     /// Tumor samples still uncovered.
     pub remaining: u64,
-    /// Combinations the scan actually evaluated (≤ `combos_scored` when
-    /// branch-and-bound pruning is on; 0 on streams from older versions).
+    /// Combinations the scan actually scored: at most `combos_scored` when
+    /// branch-and-bound pruning is on, and 0 when the frontier answered
+    /// without a scan (and on streams from older versions).
     pub scan_scored: u64,
     /// Combinations eliminated without scoring by the F upper bound.
     pub pruned_combos: u64,
@@ -1046,10 +1049,11 @@ impl RunReport {
         self.greedy_iters.iter().map(|i| i.scan_ns).sum()
     }
 
-    /// Total combinations scored across greedy iterations.
+    /// Total combinations the scans scored across greedy iterations (an
+    /// iteration the frontier answered scored none).
     #[must_use]
     pub fn total_combos_scored(&self) -> u64 {
-        self.greedy_iters.iter().map(|i| i.combos_scored).sum()
+        self.greedy_iters.iter().map(|i| i.scan_scored).sum()
     }
 
     /// Total combinations the F upper bound eliminated without scoring.
@@ -1058,11 +1062,11 @@ impl RunReport {
         self.greedy_iters.iter().map(|i| i.pruned_combos).sum()
     }
 
-    /// Fraction of enumerated combinations pruned across the run (0.0 when
-    /// no greedy iterations were recorded).
+    /// Fraction of the combinations the scans enumerated that the bound
+    /// pruned, across the run (0.0 when no scan enumerated anything).
     #[must_use]
     pub fn pruned_fraction(&self) -> f64 {
-        let total = self.total_combos_scored();
+        let total = self.total_combos_scored() + self.total_pruned_combos();
         if total == 0 {
             0.0
         } else {
@@ -1295,6 +1299,8 @@ mod tests {
                 ("scan_ns", Value::U64(1000)),
                 ("combos_scored", Value::U64(500)),
                 ("combos_per_sec", Value::F64(5e8)),
+                ("scan_scored", Value::U64(120)),
+                ("pruned_combos", Value::U64(380)),
                 ("newly_covered", Value::U64(40)),
                 ("remaining", Value::U64(10)),
                 ("block_sweeps", Value::U64(30)),
@@ -1308,6 +1314,9 @@ mod tests {
                 ("scan_ns", Value::U64(800)),
                 ("combos_scored", Value::U64(500)),
                 ("combos_per_sec", Value::F64(6.25e8)),
+                // A frontier hit: nothing enumerated.
+                ("scan_scored", Value::U64(0)),
+                ("pruned_combos", Value::U64(0)),
                 ("newly_covered", Value::U64(10)),
                 ("remaining", Value::U64(0)),
                 ("block_sweeps", Value::U64(20)),
@@ -1343,7 +1352,8 @@ mod tests {
         let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
         assert_eq!(report.greedy_iters.len(), 2);
         assert_eq!(report.total_scan_ns(), 1800);
-        assert_eq!(report.total_combos_scored(), 1000);
+        assert_eq!(report.total_combos_scored(), 120);
+        assert!((report.pruned_fraction() - 0.76).abs() < 1e-12);
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.ranks[0].busy_ns, 900);
         assert_eq!(report.partition_ns, vec![77]);

@@ -5,13 +5,14 @@ use multihit_core::bitmat::{BitMatrix, SkipIndex};
 use multihit_core::combin::{
     binomial, rank_pair, rank_triple, rank_tuple, tri, unrank_pair, unrank_triple, unrank_tuple,
 };
+use multihit_core::frontier::rescore_combo;
 use multihit_core::greedy::{
-    best_combination, best_combination_stats, discover, ComboScanner, Exclusion, GreedyConfig,
-    ScanStats, SparseMode,
+    best_combination, best_combination_frontier, best_combination_stats, discover, ComboScanner,
+    Exclusion, GreedyConfig, ScanStats, SparseMode,
 };
 use multihit_core::kernel;
 use multihit_core::kernelize::kernelize;
-use multihit_core::reduce::{block_reduce, gpu_reduce, tree_reduce};
+use multihit_core::reduce::{block_reduce, gpu_reduce, top_k, tree_reduce};
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::{levels_scheme4, total_area};
 use multihit_core::weight::{score_combo, Alpha, Scored};
@@ -509,6 +510,89 @@ proptest! {
             let cfg = GreedyConfig { parallel, sparse: SparseMode::On, ..GreedyConfig::default() };
             prop_assert_eq!(best_combination::<3>(&t, &n, mask, &cfg), reference);
         }
+    }
+}
+
+/// Strategy: a tie-dense cohort. With 8–24 tumour and 4–8 normal samples
+/// most scores collide, which is where a wrong tie rule in the cut shows.
+/// Tumour rows are half or three-quarters mutated.
+fn tie_dense_cohort() -> impl Strategy<Value = (Vec<Vec<bool>>, Vec<Vec<bool>>)> {
+    (6usize..=30, 8usize..=24, 4usize..=8, any::<bool>()).prop_flat_map(|(g, nt, nn, heavy)| {
+        let bit = (any::<bool>(), any::<bool>()).prop_map(move |(a, b)| a || (heavy && b));
+        (
+            prop::collection::vec(prop::collection::vec(bit, nt), g),
+            prop::collection::vec(prop::collection::vec(any::<bool>(), nn), g),
+        )
+    })
+}
+
+/// Every pruned scan of one hit count on one tie-dense cohort against
+/// exhaustive references: excluded samples masked off (Mask) or spliced
+/// out (BitSplice), sequential and parallel, dense and sparse, and the
+/// top-K scans unseeded and seeded with a floor K combinations witness.
+fn check_ties<const H: usize>(t: &BitMatrix, n: &BitMatrix, keep: &[u64]) -> Result<(), String> {
+    let total = binomial(t.n_genes() as u64, H as u64);
+    let all: Vec<Scored<H>> = (0..total)
+        .map(|l| rescore_combo(t, n, Some(keep), &unrank_tuple::<H>(l), Alpha::PAPER))
+        .collect();
+    let tops = [1usize, 4, 64].map(|k| (k, top_k(&all, k)));
+    let spliced = t.splice_columns(keep);
+    for (exclusion, t, mask) in [("Mask", t, Some(keep)), ("BitSplice", &spliced, None)] {
+        let reference = GreedyConfig {
+            parallel: false,
+            prune: false,
+            ..GreedyConfig::default()
+        };
+        let want = best_combination_stats::<H>(t, n, mask, &reference).0;
+        for parallel in [false, true] {
+            for sparse in [SparseMode::Off, SparseMode::On] {
+                let at = format!("H={H} {exclusion} parallel={parallel} {sparse:?}");
+                let cfg = GreedyConfig {
+                    parallel,
+                    sparse,
+                    ..GreedyConfig::default()
+                };
+                let (got, st) = best_combination_stats::<H>(t, n, mask, &cfg);
+                prop_assert!(got == want, "{at}: {got:?} != {want:?}");
+                prop_assert!(st.scored + st.pruned_combos == total, "{at}: {st:?}");
+                for &(k, ref top) in &tops {
+                    let witnessed = if top.len() == k { top[k - 1].score } else { 0 };
+                    for seed in [0, witnessed] {
+                        let cfg = GreedyConfig {
+                            frontier_k: k,
+                            ..cfg
+                        };
+                        let (best, st, fr) = best_combination_frontier::<H>(t, n, mask, &cfg, seed);
+                        let at = format!("{at} k={k} seed={seed}");
+                        prop_assert!(best == want, "{at}: {best:?} != {want:?}");
+                        prop_assert!(fr.entries() == top.as_slice(), "{at}");
+                        prop_assert!(st.scored + st.pruned_combos == total, "{at}: {st:?}");
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Pruned scans walk genes in popcount order, not colex order, so a tie
+    /// at the floor is cut only when the subtree is provably colex-later;
+    /// any slip changes an argmax or a frontier here.
+    #[test]
+    fn pruned_scans_exact_under_ties((td, nd) in tie_dense_cohort()) {
+        let t = BitMatrix::from_dense(&td);
+        let n = BitMatrix::from_dense(&nd);
+        let mut keep = t.full_mask();
+        for s in (0..t.n_samples()).step_by(3) {
+            keep[s / 64] &= !(1u64 << (s % 64));
+        }
+        check_ties::<1>(&t, &n, &keep)?;
+        check_ties::<2>(&t, &n, &keep)?;
+        check_ties::<3>(&t, &n, &keep)?;
+        check_ties::<4>(&t, &n, &keep)?;
     }
 }
 

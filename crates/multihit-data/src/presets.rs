@@ -114,9 +114,12 @@ impl CancerType {
         }
     }
 
-    /// A paper-scale [`CohortSpec`] for this cancer type (only feasible to
-    /// *generate*; discovery at this scale goes through the modeled cluster
-    /// path).
+    /// A paper-scale [`CohortSpec`] for this cancer type.
+    ///
+    /// Pruned single-process discovery runs at these dimensions in about a
+    /// second on one core (the benchmark harness's `ladder.*` metrics time
+    /// BRCA at h = 3 and LUAD at h = 4). The modeled cluster path prices the
+    /// paper's exhaustive kernel on them instead.
     #[must_use]
     pub fn spec(self, seed: u64) -> CohortSpec {
         let (n_tumor, n_normal, n_genes) = self.dimensions();
