@@ -1,9 +1,13 @@
 //! Message passing between ranks: a real in-process runtime for functional
 //! runs and an α–β cost model for paper-scale timing.
 //!
-//! The paper runs one MPI process per Summit node (Fig 1); the only
-//! collective on the hot path is the per-iteration reduction of one 20-byte
-//! record per rank to rank 0 (§III-E). [`run_ranks`] spawns one OS thread
+//! The paper runs one MPI process per Summit node (Fig 1); a distributed
+//! iteration is one reduction to rank 0 — one 20-byte record per rank
+//! (§III-E) — and one broadcast of the winner. The functional driver keeps
+//! that shape: each iteration attempt reduces one count-prefixed list of
+//! 32-byte records per rank (its K best when the lazy-greedy frontier is
+//! rebuilt, its winner when the frontier is off, nothing on a frontier
+//! hit) and broadcasts one 32-byte winner. [`run_ranks`] spawns one OS thread
 //! per rank wired with crossbeam channels and provides point-to-point
 //! `send`/`recv`, a binomial-tree `reduce_to_root`, a `broadcast`, and a
 //! `barrier` — enough to express the paper's communication pattern exactly

@@ -2,10 +2,11 @@
 //!
 //! * [`distributed_discover4_ft`] — **functional**: real rank threads, each
 //!   GPU's λ-slab really scored (by the core engine, bound-pruned — see
-//!   [`scan_slab4`]), real binomial-tree reduction of one record per rank,
-//!   BitSplicing between iterations. There is one driver:
-//!   a per-rank state machine (iteration barrier → admit joiners → rescore
-//!   *or* kernel round → reduce → verdict broadcast → splice → record) over
+//!   [`scan_slab4`]), real binomial-tree reduction to rank 0, BitSplicing
+//!   between iterations. There is one driver: a per-rank state machine
+//!   (iteration barrier → admit joiners → frontier check → one rank round:
+//!   kernels unless the frontier hit, reduce, winner broadcast → splice →
+//!   record) over
 //!   the fault-tolerant collectives of [`FtCtx`], and a fault-free run
 //!   ([`distributed_discover4`]) is that machine with an empty fault plan.
 //!   Produces exactly the combinations the single-process reference
@@ -27,7 +28,7 @@ use multihit_core::greedy::{scan_slab4, ScanStats};
 use multihit_core::kernelize::{emit_kernelize_obs, kernelize, ReductionCert};
 use multihit_core::obs::Obs;
 use multihit_core::par::{default_workers, par_map_indexed, StealStats};
-use multihit_core::reduce::{fold_partials, merge_top_k};
+use multihit_core::reduce::merge_top_k;
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::levels_scheme4;
 use multihit_core::weight::{Alpha, Scored};
@@ -148,8 +149,9 @@ pub struct DistributedConfig {
     pub block_size: usize,
     /// Cap on discovered combinations (0 = run to full cover).
     pub max_combinations: usize,
-    /// Lazy-greedy frontier size per rank (0 disables the frontier; the
-    /// selected combinations are bit-identical either way).
+    /// Lazy-greedy frontier size: the global top-K that rank 0 reduces and
+    /// the driver keeps (0 disables the frontier; the selected combinations
+    /// are bit-identical either way).
     pub frontier_k: usize,
     /// Kernelize the instance once on rank 0 and broadcast the reduction
     /// certificate before the main loop (see [`multihit_core::kernelize`]).
@@ -221,24 +223,8 @@ fn de_scored(b: &[u8]) -> Scored<4> {
     }
 }
 
-/// Serialize the kernel-round verdict: the winner plus the global K-th
-/// frontier floor (40 bytes), so every rank learns the next iteration's
-/// floor alongside the combination it splices on.
-fn ser_scored_floor(v: &(Scored<4>, u64)) -> Vec<u8> {
-    let mut b = ser_scored(&v.0);
-    b.extend_from_slice(&v.1.to_le_bytes());
-    b
-}
-
-fn de_scored_floor(b: &[u8]) -> (Scored<4>, u64) {
-    (
-        de_scored(&b[..32]),
-        u64::from_le_bytes(b[32..40].try_into().unwrap()),
-    )
-}
-
-/// Serialize a rank's contribution to the reduce — its top-K shard, or a
-/// one-record list holding its winner: a `u32` count followed by `count`
+/// Serialize a rank's contribution to the reduce — its K best, its
+/// winner, or nothing on a frontier hit: a `u32` count followed by `count`
 /// 32-byte [`Scored`] records.
 fn ser_scored_list(l: &Vec<Scored<4>>) -> Vec<u8> {
     let mut b = Vec::with_capacity(4 + 32 * l.len());
@@ -258,24 +244,6 @@ fn de_scored_list(b: &[u8]) -> Vec<Scored<4>> {
     (0..n)
         .map(|i| de_scored(&b[4 + 32 * i..4 + 32 * (i + 1)]))
         .collect()
-}
-
-/// Driver-held lazy-greedy frontier of a distributed run: every rank's
-/// locally retained top-K shard plus the global K-th floor from the build
-/// iteration. The union of the per-rank shards is a superset of the global
-/// top-K, so rescoring all shards and reducing with the deterministic max
-/// visits every global frontier member — any combination outside the union
-/// scored at most `floor` at build time and (numerator monotonicity, see
-/// [`multihit_core::frontier`]) at most that now.
-struct DistFrontier {
-    /// Per-**original**-rank retained lists; empty for ranks that retain
-    /// nothing (e.g. ranks that have died since the build).
-    lists: Vec<Vec<Scored<4>>>,
-    /// Global K-th score at build time (0 when `complete`).
-    floor: u64,
-    /// The shards jointly hold the entire enumeration, so every rescore
-    /// round is a hit by construction.
-    complete: bool,
 }
 
 /// Kernelize the instance once on rank 0 and broadcast the serialized
@@ -376,12 +344,11 @@ pub struct FtDistResult {
 enum RankOutcome {
     /// Normal completion: the broadcast verdict and this rank's audit data.
     Done {
-        /// The winner and the global K-th frontier floor (0 outside top-K
-        /// kernel rounds).
-        verdict: (Scored<4>, u64),
-        /// What this rank contributed to the reduce (on a top-K kernel
-        /// round, the shard it retains for later rescore rounds).
-        list: Vec<Scored<4>>,
+        /// The broadcast winner.
+        verdict: Scored<4>,
+        /// Rank 0's reduced list (`None` elsewhere): the global top-K on a
+        /// top-K kernel round.
+        reduced: Option<Vec<Scored<4>>>,
         combos: Vec<u64>,
         stats: FtStats,
     },
@@ -401,7 +368,7 @@ enum RankOutcome {
 /// provisioned replacements or scale-up slots) into the roster at the
 /// iteration barrier before `iter_idx`. Already-alive ids are ignored.
 ///
-/// The admission has three legs:
+/// The admission has two legs:
 ///
 /// 1. **JOIN announcement** — rank 0 broadcasts a [`BcastMsg::Join`]
 ///    carrying the bumped epoch and the roster (in compact-rank order)
@@ -413,18 +380,13 @@ enum RankOutcome {
 ///    boundaries move, the donors' loads never grow, and
 ///    [`crate::sched::validate_cover`] proves the moved slabs still tile
 ///    `C(G,4)` exactly.
-/// 3. **Frontier shard transfer** — the joiner receives half of the largest
-///    holder's retained top-K shard over the count-prefixed wire format the
-///    shard reduce uses. A join removes no record from the shard union, so
-///    (unlike a death) it does **not** invalidate the frontier: the next
-///    rescore round reduces the identical union and the discovered panel
-///    stays bit-identical to the fault-free reference.
 ///
-/// If any leg fails (an announcement that never converges under wire
+/// If either leg fails (an announcement that never converges under wire
 /// faults, an un-tileable slab move) the join degrades instead of
 /// corrupting state: the roster keeps the joiners but the driver falls back
-/// to a full re-shard and a full kernel rescan — always correct, just not
-/// incremental.
+/// to a full re-shard — always correct, just not incremental. Neither kind
+/// of join touches the lazy-greedy frontier: it is the global top-K, which
+/// does not depend on who holds which slab.
 #[allow(clippy::too_many_arguments)]
 fn admit_joiners(
     cfg: &DistributedConfig,
@@ -437,7 +399,6 @@ fn admit_joiners(
     alive: &mut Vec<usize>,
     epoch: &mut u32,
     elastic_parts: &mut Option<Vec<Partition>>,
-    frontier_state: &mut Option<DistFrontier>,
     recovery: &mut RecoveryStats,
 ) {
     let admitted: Vec<usize> = joiners
@@ -474,58 +435,26 @@ fn admit_joiners(
         recovery.ft.merge(stats);
     }
 
-    // Leg 2: boundary slab moves instead of a full re-shard.
-    let mut incremental = converged;
+    // Leg 2: boundary slab moves instead of a full re-shard. A degraded
+    // join leaves no incremental partitions, so the next attempt re-shards.
+    let base = elastic_parts.take();
+    let mut incremental = false;
     let mut slab_moves = 0usize;
     let mut moved_area = 0u64;
-    if incremental {
-        let base = match elastic_parts.take() {
-            Some(p) => p,
-            None => cfg
-                .scheduler
-                .partitions_obs(cfg.scheme, g, n_prev_gpus, obs),
-        };
+    if converged {
+        let base = base.unwrap_or_else(|| {
+            cfg.scheduler
+                .partitions_obs(cfg.scheme, g, n_prev_gpus, obs)
+        });
         let levels = levels_scheme4(cfg.scheme, g);
-        match rebalance_join(&levels, &base, admitted.len() * cfg.shape.gpus_per_node) {
-            Ok((parts, moves)) => {
-                slab_moves = moves.len();
-                moved_area = moves.iter().map(|m| m.area).sum();
-                *elastic_parts = Some(parts);
-            }
-            Err(_) => incremental = false,
+        if let Ok((parts, moves)) =
+            rebalance_join(&levels, &base, admitted.len() * cfg.shape.gpus_per_node)
+        {
+            incremental = true;
+            slab_moves = moves.len();
+            moved_area = moves.iter().map(|m| m.area).sum();
+            *elastic_parts = Some(parts);
         }
-    }
-
-    // Leg 3: frontier shard transfer — or, on a degraded join, the same
-    // invalidation a death forces (full re-shard + full rescan).
-    let mut records_moved = 0u64;
-    if incremental {
-        if let Some(fr) = frontier_state.as_mut() {
-            let cap = alive.iter().copied().max().map_or(0, |m| m + 1);
-            if fr.lists.len() < cap {
-                fr.lists.resize_with(cap, Vec::new);
-            }
-            for &joiner in &admitted {
-                let donor = alive
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != joiner)
-                    .max_by_key(|&r| (fr.lists[r].len(), std::cmp::Reverse(r)));
-                let Some(donor) = donor else { continue };
-                let list = std::mem::take(&mut fr.lists[donor]);
-                let keep = list.len() / 2;
-                let shipped = list[keep..].to_vec();
-                fr.lists[donor] = list[..keep].to_vec();
-                // The shard rides the same count-prefixed record format the
-                // top-K reduce uses; the joiner decodes exactly what the
-                // donor encoded.
-                fr.lists[joiner] = de_scored_list(&ser_scored_list(&shipped));
-                records_moved += fr.lists[joiner].len() as u64;
-            }
-        }
-    } else {
-        *elastic_parts = None;
-        *frontier_state = None;
     }
 
     if obs.is_enabled() {
@@ -539,7 +468,6 @@ fn admit_joiners(
                 ("incremental", u64::from(incremental).into()),
                 ("slab_moves", slab_moves.into()),
                 ("moved_area", moved_area.into()),
-                ("frontier_records_moved", records_moved.into()),
             ],
         );
     }
@@ -573,27 +501,32 @@ pub fn distributed_discover4_obs(
 /// simulated ranks and GPUs, tolerating rank crashes, stragglers,
 /// lost/corrupt messages and mid-run joins.
 ///
-/// Each iteration, every alive rank builds its local contribution —
-/// rescoring its retained frontier shard, or scoring the λ-slab of each of
-/// its node's GPUs with the pruned core scanner ([`scan_slab4`]; the slab
-/// areas, and so the `combos_per_gpu` audit, are the scheduler's to the
-/// combination) — then takes part in the
-/// binomial-tree reduction of one record per rank to rank 0; rank 0
-/// broadcasts the `(winner, floor)` verdict and every rank splices covered
-/// samples: the communication structure of §III-E, over the framed
-/// collectives of [`FtCtx`]. If any rank dies or the verdict is an abort,
-/// the dead ranks are removed and the **same iteration is re-executed** with
-/// the survivors — the full λ-range is re-partitioned across the remaining
-/// GPUs by the configured scheduler, so (by associativity + commutativity
-/// of the deterministic max) the chosen combinations are bit-identical to
-/// the fault-free reference no matter who died when. With `faults: None`
-/// nothing dies and every iteration takes one attempt.
+/// Each iteration first checks the driver's lazy-greedy frontier — the
+/// global top-K rank 0 reduced on the last kernel round — exactly as
+/// single-process discovery does ([`Frontier::rescore`], then
+/// [`Frontier::is_hit`]). Then every alive rank runs one round: unless the
+/// frontier hit, it scores the λ-slab of each of its node's GPUs with the
+/// pruned core scanner ([`scan_slab4`]; the slab areas, and so the
+/// `combos_per_gpu` audit, are the scheduler's to the combination); it
+/// takes part in the binomial-tree reduction of its best records to rank 0;
+/// rank 0 broadcasts the 32-byte winner (the frontier's on a hit) and every
+/// rank splices covered samples: the communication structure of §III-E,
+/// over the framed collectives of [`FtCtx`]. If any rank dies or the
+/// verdict is an abort, the dead ranks are removed and the **same
+/// iteration is re-executed** with the survivors — the full λ-range is
+/// re-partitioned across the remaining GPUs by the configured scheduler,
+/// so (by associativity + commutativity of the deterministic max) the
+/// chosen combinations are bit-identical to the fault-free reference no
+/// matter who died when. A failed attempt
+/// also drops the frontier, so the retry runs the kernels. With
+/// `faults: None` nothing dies and every iteration takes one attempt.
 ///
 /// The metrics stream: scheduler timing (`sched_partition`), one
 /// `rank_exec` point per rank per attempt (kernel wall time vs.
 /// reduce+broadcast wall time, combinations scored vs. cut by the bound; the
-/// same fields on rescore, top-K and argmax rounds), one `dist_iter` point
-/// per iteration, `membership` and `recovery`
+/// same fields on hit, top-K and argmax rounds), one `dist_iter` point
+/// per iteration (with the frontier's `frontier_hit` and
+/// `frontier_rescored`), `membership` and `recovery`
 /// points on churn. `ft.*` and `recovery.*` counters appear only when
 /// nonzero.
 ///
@@ -646,7 +579,8 @@ pub fn distributed_discover4_ft(
     // Original rank ids still alive; position in this vector is the compact
     // rank id inside the current mesh.
     let mut alive: Vec<usize> = (0..cfg.shape.nodes).collect();
-    let mut frontier_state: Option<DistFrontier> = None;
+    // The global top-K rank 0 reduced on the last top-K kernel round.
+    let mut frontier_state: Option<Frontier<4>> = None;
     let mut membership_epoch: u32 = 0;
     // λ-partitions maintained incrementally across joins. `None` means
     // re-shard from scratch each attempt — the launch state, and the state
@@ -673,26 +607,29 @@ pub fn distributed_discover4_ft(
                 &mut alive,
                 &mut membership_epoch,
                 &mut elastic_parts,
-                &mut frontier_state,
                 &mut recovery,
             );
         }
+        // The lazy-greedy check, with the two calls single-process
+        // `discover_obs` makes: rescore the frontier against the spliced
+        // matrix, and a strict floor clear proves the global argmax.
+        let mut frontier_rescored = 0u64;
+        let mut hit: Option<Scored<4>> = None;
+        if let Some(fr) = &frontier_state {
+            let r = fr.rescore(&work_tumor, normal, None, cfg.alpha);
+            frontier_rescored = r.rescored;
+            hit = fr.is_hit(&r.best).then_some(r.best);
+        }
         let mut fruitless_attempts = 0u32;
-        // Attempt the cheap frontier-rescore round first whenever a frontier
-        // is live: if the rescored best strictly clears the build-time floor
-        // it is provably the global argmax and the kernels are skipped. A
-        // floor miss or a failed attempt falls back to the full kernels.
-        let mut try_frontier = frontier_state.is_some();
-        let mut frontier_hit = false;
         let (best, combos_per_gpu) = loop {
             let n_ranks = alive.len();
-            let rescore_round = try_frontier;
-            // A top-K kernel round reduces the ranks' K-best shards to the
-            // global top-K (its K-th score is the floor of later rescore
-            // rounds); every other round reduces one winner per rank.
-            let topk_round = !rescore_round && k > 0;
+            // One rank round per attempt. On a hit the ranks scan nothing
+            // and rank 0 broadcasts the frontier's winner; otherwise their
+            // GPUs scan, and the reduce yields the global top-K (the next
+            // frontier) or, with the frontier off, the argmax alone.
+            let topk_round = hit.is_none() && k > 0;
             let keep = if topk_round { k } else { 1 };
-            let parts = if rescore_round {
+            let parts = if hit.is_some() {
                 Vec::new()
             } else if let Some(p) = &elastic_parts {
                 // Slab-moved partitions from the membership protocol: GPU
@@ -703,11 +640,10 @@ pub fn distributed_discover4_ft(
                 cfg.scheduler
                     .partitions_obs(cfg.scheme, g, n_ranks * gpn, obs)
             };
-            debug_assert!(rescore_round || validate_cover(&parts, total_threads).is_ok());
-            debug_assert!(rescore_round || parts.len() == n_ranks * gpn);
+            debug_assert!(hit.is_some() || validate_cover(&parts, total_threads).is_ok());
+            debug_assert!(hit.is_some() || parts.len() == n_ranks * gpn);
             let tumor_ref = &work_tumor;
             let alive_ref = &alive;
-            let lists_ref = frontier_state.as_ref().map(|f| &f.lists);
             // One OS thread per alive rank.
             let outcomes: Vec<RankOutcome> = run_ranks(n_ranks, |ctx| {
                 let orig = alive_ref[ctx.rank];
@@ -715,25 +651,17 @@ pub fn distributed_discover4_ft(
                     return RankOutcome::Crashed;
                 }
                 let busy_start = Instant::now();
-                // The rank's contribution to the reduce, best first: the
-                // best of its rescored frontier shard (the kernels never
-                // run, so every GPU audits zero combos), or what its GPUs
-                // found over their λ-partitions — the K best on a top-K
-                // round, the argmax alone otherwise.
                 let mut combos = vec![0u64; gpn];
-                let (mut rescored, mut scan, mut steal) =
-                    (0u64, ScanStats::default(), StealStats::default());
-                let local: Vec<Scored<4>> = if rescore_round {
-                    let shard = &lists_ref.expect("live frontier")[orig];
-                    rescored = shard.len() as u64;
-                    vec![fold_partials(shard.iter().map(|e| {
-                        frontier::rescore_combo(tumor_ref, normal, None, &e.genes, cfg.alpha)
-                    }))]
+                let (mut scan, mut steal) = (ScanStats::default(), StealStats::default());
+                // The rank's contribution to the reduce, best first: nothing
+                // on a frontier hit, else what its GPUs found over their
+                // λ-partitions, each pruning on its own incumbent (the K
+                // best on a top-K round). The work-stealing dispatcher
+                // overlaps a heavy slab with the light ones instead of
+                // serializing a fixed GPU order.
+                let local: Vec<Scored<4>> = if hit.is_some() {
+                    Vec::new()
                 } else {
-                    // Each GPU's slab goes through the core scanner, pruning
-                    // on its own incumbent (the K best on a top-K round). The
-                    // work-stealing dispatcher overlaps a heavy slab with the
-                    // light ones instead of serializing a fixed GPU order.
                     let (outs, stolen) = par_map_indexed(gpn, default_workers(), |slot| {
                         let p = parts[ctx.rank * gpn + slot];
                         scan_slab4(tumor_ref, normal, cfg.alpha, cfg.scheme, p.lo, p.hi, keep)
@@ -747,14 +675,7 @@ pub fn distributed_discover4_ft(
                         scan.merge(&stats);
                         shards.push(shard);
                     }
-                    let mut best = merge_top_k(&shards, keep);
-                    // A rank whose slabs hold no combination (more GPUs than
-                    // threads) still reduces a record on an argmax round; a
-                    // top-K shard just stays empty.
-                    if best.is_empty() && !topk_round {
-                        best.push(Scored::NEG_INFINITY);
-                    }
-                    best
+                    merge_top_k(&shards, keep)
                 };
                 let busy_ns = elapsed_ns(busy_start);
                 if let Some(f) = faults {
@@ -770,30 +691,28 @@ pub fn distributed_discover4_ft(
                 let comm_start = Instant::now();
                 let mut ft = FtCtx::new(&ctx, params, faults, iter_idx);
                 let red = ft.reduce_to_root(
-                    local.clone(),
+                    local,
                     |a, b| merge_top_k(&[a, b], keep),
                     ser_scored_list,
                     de_scored_list,
                 );
-                // The attempt ends on this rank with the broadcast verdict,
+                // The attempt ends on this rank with the broadcast winner,
                 // or with the (compact ids of the) ranks it learned are gone.
-                let ended: Result<(Scored<4>, u64), BTreeSet<usize>> = if red.parent_dead {
+                let ended: Result<Scored<4>, BTreeSet<usize>> = if red.parent_dead {
                     Err(red.dead)
                 } else {
-                    // Rank 0 turns the reduced list into the verdict every
-                    // rank splices on: the head is the winner, and on a top-K
-                    // round the K-th score is the floor.
-                    let verdict = (ctx.rank == 0).then(|| match red.root_value {
-                        Some(list) => {
-                            let fr = Frontier::new(list, total_combos);
-                            let floor = if topk_round { fr.floor() } else { 0 };
-                            BcastMsg::Value(ser_scored_floor(&(fr.best(), floor)))
-                        }
+                    // Rank 0 broadcasts the winner every rank splices on:
+                    // the frontier's on a hit, else the reduced list's head
+                    // (no combination at all reduces to an empty list).
+                    let verdict = (ctx.rank == 0).then(|| match &red.root_value {
+                        Some(list) => BcastMsg::Value(ser_scored(&hit.unwrap_or_else(|| {
+                            list.first().copied().unwrap_or(Scored::NEG_INFINITY)
+                        }))),
                         None => BcastMsg::Abort(red.dead.iter().copied().collect()),
                     });
                     match ft.broadcast(verdict) {
                         Ok((BcastMsg::Value(v), suspects)) if suspects.is_empty() => {
-                            Ok(de_scored_floor(&v))
+                            Ok(de_scored(&v))
                         }
                         Ok((BcastMsg::Value(_), suspects)) => Err(suspects),
                         Ok((BcastMsg::Abort(dead), suspects)) => {
@@ -818,7 +737,6 @@ pub fn distributed_discover4_ft(
                             ("scored", scan.scored.into()),
                             ("pruned_combos", scan.pruned_combos.into()),
                             ("pruned_subtrees", scan.pruned_subtrees.into()),
-                            ("rescored", rescored.into()),
                             ("steal_blocks", steal.blocks.into()),
                             ("steals", steal.steals.into()),
                             ("block_sweeps", scan.block_sweeps.into()),
@@ -828,7 +746,7 @@ pub fn distributed_discover4_ft(
                 match ended {
                     Ok(verdict) => RankOutcome::Done {
                         verdict,
-                        list: local,
+                        reduced: red.root_value,
                         combos,
                         stats: ft.stats,
                     },
@@ -842,24 +760,21 @@ pub fn distributed_discover4_ft(
 
             let mut dead: BTreeSet<usize> = BTreeSet::new();
             let mut all_done = true;
-            let mut agreed: Option<(Scored<4>, u64)> = None;
+            let mut agreed: Option<Scored<4>> = None;
+            let mut top_k: Option<Vec<Scored<4>>> = None;
             let mut attempt_combos: Vec<u64> = Vec::new();
-            // Sized by the highest original id in the roster: joins can push
-            // ids past the launch size (scale-up slots).
-            let roster_cap = alive.iter().copied().max().map_or(0, |m| m + 1);
-            let mut rank_lists: Vec<Vec<Scored<4>>> = vec![Vec::new(); roster_cap];
             for (i, out) in outcomes.into_iter().enumerate() {
                 match out {
                     RankOutcome::Done {
                         verdict,
-                        list,
+                        reduced,
                         combos,
                         stats,
                     } => {
                         // All ranks agreed on the verdict.
                         debug_assert!(agreed.is_none_or(|v| v == verdict));
                         agreed.get_or_insert(verdict);
-                        rank_lists[alive[i]] = list;
+                        top_k = top_k.or(reduced);
                         attempt_combos.extend(combos);
                         recovery.ft.merge(&stats);
                     }
@@ -881,34 +796,21 @@ pub fn distributed_discover4_ft(
             }
 
             if all_done {
-                let (w, floor) = agreed.expect("a mesh has at least one rank");
-                if rescore_round {
-                    let fr = frontier_state.as_ref().expect("live frontier");
-                    if fr.complete || w.score > fr.floor {
-                        frontier_hit = true;
-                        break (w, attempt_combos);
-                    }
-                    // Floor miss: discard the (cheap) rescore round and
-                    // fall through to a full kernel attempt.
-                    try_frontier = false;
-                    continue;
-                }
                 if topk_round {
-                    frontier_state = Some(DistFrontier {
-                        lists: rank_lists,
-                        floor,
-                        complete: total_combos <= k as u64,
-                    });
+                    let list = top_k.expect("rank 0 holds the reduced list");
+                    frontier_state = Some(Frontier::new(list, total_combos));
                 }
-                break (w, attempt_combos);
+                break (
+                    agreed.expect("a mesh has at least one rank"),
+                    attempt_combos,
+                );
             }
 
             // Failed attempt: discard its work, drop the dead, re-execute.
-            // Dead ranks take their frontier shards with them, so the
-            // frontier is invalidated and the retry runs the full kernels —
-            // keeping the discovery bit-identical to the fault-free run.
+            // The frontier goes with it, so the retry runs the full kernels
+            // and rebuilds it.
             frontier_state = None;
-            try_frontier = false;
+            hit = None;
             recovery.re_executed_iterations += 1;
             let wasted: u64 = attempt_combos.iter().sum();
             recovery.re_executed_combos += wasted;
@@ -922,8 +824,8 @@ pub fn distributed_discover4_ft(
                 fruitless_attempts = 0;
                 alive.retain(|r| !dead.contains(r));
                 recovery.dead_ranks.extend(dead.iter().copied());
-                // A death invalidates the incremental partitions along with
-                // the frontier: survivors re-shard the full λ-range.
+                // A death invalidates the incremental partitions: survivors
+                // re-shard the full λ-range.
                 elastic_parts = None;
             }
             if obs.is_enabled() {
@@ -966,7 +868,8 @@ pub fn distributed_discover4_ft(
                     ("iter_ns", elapsed_ns(iter_start).into()),
                     ("newly_covered", u64::from(best.tp).into()),
                     ("remaining", u64::from(remaining).into()),
-                    ("frontier_hit", u64::from(frontier_hit).into()),
+                    ("frontier_hit", u64::from(hit.is_some()).into()),
+                    ("frontier_rescored", frontier_rescored.into()),
                 ],
             );
         }
@@ -1693,9 +1596,8 @@ mod tests {
         // 6 GPUs over 1, 5 and 15 combinations: under EA at G = 4, 5 there
         // are more GPUs than combinations, and under ED the last slab holds
         // only threads with an empty tail loop (`lo >= C(l,3)` for every
-        // `l`). Such a slab must drop out of the reduce (argmax rounds: a
-        // NEG_INFINITY record; top-K rounds: an empty shard) without
-        // disturbing the panel or the audit.
+        // `l`). Such a slab must drop out of the reduce as an empty list
+        // without disturbing the panel or the audit.
         for g in 4..=6 {
             let (t, n) = lcg_matrices(g, 60, 30, 7);
             let total = binomial(g as u64, 4);

@@ -73,8 +73,9 @@ pub enum FaultSpec {
     },
     /// Rank `rank` joins the run at the barrier before iteration `iter`
     /// (a recovered node or a scale-up slot). The driver admits it into
-    /// the roster, moves it a boundary slab of the λ-range, and transfers
-    /// a frontier shard so the join forces no full rescan.
+    /// the roster and moves it a boundary slab of the λ-range; the
+    /// driver's lazy-greedy frontier is untouched, so the join forces no
+    /// full rescan.
     RankJoin {
         /// Original rank id of the joiner (may exceed the launch size).
         rank: usize,

@@ -284,15 +284,14 @@ pub struct ChurnParams {
     /// agreement, seconds. Cheaper than a full restart because the
     /// survivors keep running state in memory.
     pub replace_s: f64,
-    /// Time to move boundary slabs and frontier shards to the joiner,
-    /// seconds. Slab moves are O(1) metadata; the frontier shard is a few
-    /// KB of top-K records, so this is latency-dominated.
+    /// Time to move boundary slabs to the joiner, seconds. Slab moves are
+    /// O(1) metadata, so this is latency-dominated.
     pub rebalance_s: f64,
 }
 
 impl ChurnParams {
     /// Summit-like defaults: spare-pool node replacement in ~90 s (no cold
-    /// scheduler round-trip), slab + frontier transfer in ~10 s.
+    /// scheduler round-trip), slab moves in ~10 s.
     #[must_use]
     pub fn summit_like() -> Self {
         ChurnParams {

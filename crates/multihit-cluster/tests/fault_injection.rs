@@ -68,8 +68,8 @@ fn reference(t: &BitMatrix, n: &BitMatrix, max: usize) -> Vec<[u32; 4]> {
 fn killing_any_rank_at_any_iteration_preserves_the_answer() {
     let (t, n) = lcg_matrices(11, 90, 60, 13);
     // frontier_k: 0 pins the kernel-recovery path: with the lazy-greedy
-    // frontier on, a kill landing in a rescore round wastes zero kernel
-    // combos by design (covered by the frontier-specific fault tests).
+    // frontier on, a kill landing in a frontier-hit round wastes zero
+    // kernel combos by design (covered by the frontier-specific fault tests).
     let cfg = DistributedConfig {
         frontier_k: 0,
         ..four_rank_config()
@@ -100,9 +100,9 @@ fn killing_any_rank_at_any_iteration_preserves_the_answer() {
 
 /// Frontier-enabled fault runs: with the lazy-greedy frontier on (the
 /// default), killing each rank at each iteration must still produce
-/// combinations bit-identical to the single-process reference — a kill
-/// during a rescore round invalidates the frontier (the dead rank's shard
-/// is gone) and the survivors re-run the full kernels.
+/// combinations bit-identical to the single-process reference — any failed
+/// attempt, a frontier-hit round included, drops the frontier and the
+/// survivors re-run the full kernels.
 #[test]
 fn frontier_fault_runs_stay_bit_identical() {
     let (t, n) = lcg_matrices(11, 90, 60, 13);
@@ -257,11 +257,11 @@ fn stragglers_are_tolerated_without_eviction() {
 }
 
 /// Zero-fault acceptance: with no plan the metrics stream has exactly the
-/// fault-free event shape — per iteration an optional rescore round (one
-/// `rank_exec` per rank), an optional kernel round (`sched_partition`, then
-/// one `rank_exec` per rank) and the `dist_iter` record, the run span last
-/// — every `rank_exec` carries the same fields, and there are no fault or
-/// recovery points and no FT counters.
+/// fault-free event shape — per iteration one rank round (a
+/// `sched_partition` when the kernels run, then one `rank_exec` per rank)
+/// and the `dist_iter` record, the run span last — every `rank_exec`
+/// carries the same fields, and there are no fault or recovery points and
+/// no FT counters.
 #[test]
 fn zero_fault_run_has_the_fault_free_event_shape() {
     let (t, n) = lcg_matrices(11, 90, 60, 13);
@@ -278,17 +278,15 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
     let ranks = vec!["rank_exec"; cfg.shape.nodes];
     let mut rest = names.as_slice();
     for iter in 0..ft.result.iterations.len() {
-        // Iteration 0 has no frontier to rescore; every later one tries it.
-        if iter > 0 {
-            assert_eq!(rest[..ranks.len()], ranks[..], "rescore round of {iter}");
-            rest = &rest[ranks.len()..];
-        }
+        // A frontier hit runs no kernels and so partitions nothing;
+        // iteration 0 has no frontier to hit.
         if rest[0] == "sched_partition" {
-            assert_eq!(rest[1..=ranks.len()], ranks[..], "kernel round of {iter}");
-            rest = &rest[1 + ranks.len()..];
+            rest = &rest[1..];
         } else {
             assert!(iter > 0, "iteration 0 must run the kernels");
         }
+        assert_eq!(rest[..ranks.len()], ranks[..], "rank round of {iter}");
+        rest = &rest[ranks.len()..];
         assert_eq!(rest[0], "dist_iter", "record of {iter}");
         rest = &rest[1..];
     }
@@ -304,7 +302,6 @@ fn zero_fault_run_has_the_fault_free_event_shape() {
             "scored",
             "pruned_combos",
             "pruned_subtrees",
-            "rescored",
             "steal_blocks",
             "steals",
             "block_sweeps",
@@ -395,33 +392,45 @@ fn scale_up_join_is_incremental_and_preserves_the_answer() {
     );
 }
 
-/// The frontier shard transfer: with the lazy-greedy frontier on, a join
-/// splits a donor's top-K shard to the joiner rather than invalidating the
-/// frontier, and the churned run still matches the reference bit-for-bit.
+/// Per-iteration `frontier_hit` flags of a run's `dist_iter` points.
+fn frontier_hits(obs: &Obs) -> Vec<u64> {
+    obs.events()
+        .iter()
+        .filter(|e| e.name == "dist_iter")
+        .map(|e| {
+            e.u64("frontier_hit")
+                .expect("dist_iter carries frontier_hit")
+        })
+        .collect()
+}
+
+/// The frontier is the global top-K, not a per-rank holding: a join moves
+/// boundary slabs and leaves it alone, so every iteration hits or misses
+/// exactly where the fault-free run does, and the panel is the reference.
 #[test]
-fn join_transfers_frontier_shards_instead_of_rescanning() {
+fn join_leaves_the_frontier_hits_of_the_fault_free_run() {
     let (t, n) = lcg_matrices(11, 90, 60, 13);
     let cfg = four_rank_config();
     assert!(cfg.frontier_k > 0, "frontier should default on");
     let expect = reference(&t, &n, cfg.max_combinations);
-    // Join at iteration 2 so a frontier from iteration 1 exists to split.
-    let plan = FaultPlan::parse("rank-join=4-2", 7).unwrap();
-    let obs = Obs::enabled();
-    let faults = FaultState::new(plan, &obs);
-    let ft = distributed_discover4_ft(&t, &n, &cfg, Some(&faults), FtParams::fast_test(), &obs);
-    assert_eq!(ft.result.combinations, expect);
-    // The membership point records the transfer for the report pipeline.
-    let events = obs.events();
-    assert!(
-        RunReport::from_events(&events).frontier_records_moved() > 0,
-        "the joiner must inherit frontier records"
-    );
-    let ev = events
-        .iter()
-        .find(|e| e.name == "membership")
-        .expect("membership point");
-    assert_eq!(ev.u64("incremental"), Some(1), "{ev:?}");
-    assert!(ev.u64("frontier_records_moved").unwrap_or(0) > 0, "{ev:?}");
+    let clean = Obs::enabled();
+    let _ = distributed_discover4_ft(&t, &n, &cfg, None, FtParams::fast_test(), &clean);
+    let clean_hits = frontier_hits(&clean);
+    assert_eq!(clean_hits.len(), expect.len());
+    for (spec, join_iter) in [("rank-join=4-1", 1), ("rank-join=4-2", 2)] {
+        assert!(
+            clean_hits[join_iter..].contains(&1),
+            "{spec}: the fixture should hit the frontier after the join"
+        );
+        let obs = Obs::enabled();
+        let faults = FaultState::new(FaultPlan::parse(spec, 7).unwrap(), &obs);
+        let ft = distributed_discover4_ft(&t, &n, &cfg, Some(&faults), FtParams::fast_test(), &obs);
+        assert_eq!(ft.result.combinations, expect, "{spec}");
+        assert_eq!(ft.recovery.joined_ranks, vec![4], "{spec}");
+        assert_eq!(frontier_hits(&obs), clean_hits, "{spec}");
+        let report = RunReport::from_events(&obs.events());
+        assert!(report.memberships[0].incremental, "{spec}");
+    }
 }
 
 /// A kill and a join of the same rank at the same barrier: the join is

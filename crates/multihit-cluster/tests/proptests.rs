@@ -6,9 +6,36 @@ use multihit_cluster::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use multihit_cluster::comm::run_ranks;
 use multihit_cluster::sched::{partition_areas, schedule_ea_fast, schedule_ea_naive, schedule_ed};
 use multihit_cluster::sched_weighted::{schedule_ea_weighted, CostWeights};
+use multihit_core::bitmat::BitMatrix;
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::{levels_scheme4, total_area, total_threads, Level};
 use proptest::prelude::*;
+
+/// A random `g`-gene cohort of 70 tumor and 40 normal samples: each tumor
+/// bit is set with probability `1/density`, each normal bit with
+/// `1/(density + 2)`.
+fn random_cohort(g: usize, seed: u64, density: u64) -> (BitMatrix, BitMatrix) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        state >> 33
+    };
+    let mut t = BitMatrix::zeros(g, 70);
+    let mut n = BitMatrix::zeros(g, 40);
+    for gene in 0..g {
+        for s in 0..70 {
+            if next() % density == 0 {
+                t.set(gene, s, true);
+            }
+        }
+        for s in 0..40 {
+            if next() % (density + 2) == 0 {
+                n.set(gene, s, true);
+            }
+        }
+    }
+    (t, n)
+}
 
 /// Random synthetic level structures (not just the schemes' shapes): the
 /// schedulers must work for any monotone-λ level table.
@@ -171,30 +198,11 @@ proptest! {
     ) {
         use multihit_cluster::driver::{distributed_discover4, DistributedConfig, SchedulerKind};
         use multihit_cluster::topology::ClusterShape;
-        use multihit_core::bitmat::BitMatrix;
         use multihit_core::combin::binomial;
         use multihit_core::greedy::{discover, GreedyConfig};
 
         let g = 10usize;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        let mut t = BitMatrix::zeros(g, 70);
-        let mut n = BitMatrix::zeros(g, 40);
-        for gene in 0..g {
-            for s in 0..70 {
-                if next() % density == 0 {
-                    t.set(gene, s, true);
-                }
-            }
-            for s in 0..40 {
-                if next() % (density + 2) == 0 {
-                    n.set(gene, s, true);
-                }
-            }
-        }
+        let (t, n) = random_cohort(g, seed, density);
         let reference = discover::<4>(
             &t,
             &n,
@@ -250,28 +258,8 @@ proptest! {
     ) {
         use multihit_cluster::driver::{distributed_discover4, DistributedConfig};
         use multihit_cluster::topology::ClusterShape;
-        use multihit_core::bitmat::BitMatrix;
 
-        let g = 10usize;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        let mut t = BitMatrix::zeros(g, 70);
-        let mut n = BitMatrix::zeros(g, 40);
-        for gene in 0..g {
-            for s in 0..70 {
-                if next() % density == 0 {
-                    t.set(gene, s, true);
-                }
-            }
-            for s in 0..40 {
-                if next() % (density + 2) == 0 {
-                    n.set(gene, s, true);
-                }
-            }
-        }
+        let (t, n) = random_cohort(10, seed, density);
         for nodes in [1usize, 4] {
             let base = DistributedConfig {
                 shape: ClusterShape { nodes, gpus_per_node: 2 },
@@ -280,8 +268,8 @@ proptest! {
                 ..DistributedConfig::default()
             };
             let reference = distributed_discover4(&t, &n, &base);
-            // K = 1 can never strictly clear its own floor (every rescore
-            // round misses and falls back to the kernels); larger K gets
+            // K = 1 can never strictly clear its own floor (every frontier
+            // check misses and the round runs the kernels); larger K gets
             // genuine hits.
             for k in [1usize, 4, 64] {
                 let lazy = distributed_discover4(
@@ -298,6 +286,65 @@ proptest! {
         }
     }
 
+    /// The driver checks its frontier with the calls single-process
+    /// discovery makes, on the same global top-K, so it hits on exactly the
+    /// iterations `discover_obs` does, whatever the cluster shape.
+    #[test]
+    fn distributed_frontier_hits_where_single_process_discovery_does(
+        seed in 0u64..10_000,
+        nodes in 1usize..=4,
+        gpus in 1usize..=2,
+        density in 2u64..5,
+    ) {
+        use multihit_cluster::driver::{distributed_discover4_obs, DistributedConfig};
+        use multihit_cluster::topology::ClusterShape;
+        use multihit_core::greedy::{discover_obs, Exclusion, GreedyConfig};
+        use multihit_core::obs::{EventKind, Obs};
+
+        let hits = |obs: &Obs, point: &str| -> Vec<u64> {
+            obs.events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Point && e.name == point)
+                .filter_map(|e| e.u64("frontier_hit"))
+                .collect()
+        };
+        let (t, n) = random_cohort(10, seed, density);
+        for k in [1usize, 4, 64] {
+            let single = Obs::enabled();
+            let reference = discover_obs::<4>(
+                &t,
+                &n,
+                &GreedyConfig {
+                    exclusion: Exclusion::BitSplice,
+                    parallel: false,
+                    kernelize: false,
+                    frontier_k: k,
+                    max_combinations: 3,
+                    ..GreedyConfig::default()
+                },
+                &single,
+            );
+            let dist_obs = Obs::enabled();
+            let dist = distributed_discover4_obs(
+                &t,
+                &n,
+                &DistributedConfig {
+                    shape: ClusterShape { nodes, gpus_per_node: gpus },
+                    frontier_k: k,
+                    max_combinations: 3,
+                    ..DistributedConfig::default()
+                },
+                &dist_obs,
+            );
+            prop_assert!(dist.combinations == reference.combinations, "diverged at k {k}");
+            let (dist_hits, single_hits) = (hits(&dist_obs, "dist_iter"), hits(&single, "greedy_iter"));
+            prop_assert!(
+                dist_hits == single_hits,
+                "k {k}: driver hits {dist_hits:?}, single-process {single_hits:?}"
+            );
+        }
+    }
+
     #[test]
     fn kernelized_distributed_discovery_equals_unkernelized(
         seed in 0u64..10_000,
@@ -305,33 +352,15 @@ proptest! {
     ) {
         use multihit_cluster::driver::{distributed_discover4, DistributedConfig};
         use multihit_cluster::topology::ClusterShape;
-        use multihit_core::bitmat::BitMatrix;
 
         // Sparser than the reference-identity cohort so the reduction has
         // useless genes and dominated rows to actually remove.
         let g = 12usize;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        let mut t = BitMatrix::zeros(g, 70);
-        let mut n = BitMatrix::zeros(g, 40);
-        for gene in 0..g {
-            // Every fourth gene is left empty: guaranteed useless rows.
-            if gene % 4 == 3 {
-                continue;
-            }
-            for s in 0..70 {
-                if next() % density == 0 {
-                    t.set(gene, s, true);
-                }
-            }
-            for s in 0..40 {
-                if next() % (density + 2) == 0 {
-                    n.set(gene, s, true);
-                }
-            }
+        let (mut t, mut n) = random_cohort(g, seed, density);
+        // Every fourth gene is emptied: guaranteed useless rows.
+        for gene in (3..g).step_by(4) {
+            (0..70).for_each(|s| t.set(gene, s, false));
+            (0..40).for_each(|s| n.set(gene, s, false));
         }
         for nodes in [1usize, 3] {
             let base = DistributedConfig {

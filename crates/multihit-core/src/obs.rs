@@ -751,15 +751,13 @@ pub struct MembershipReport {
     pub joined: u64,
     /// Roster size after the admission.
     pub roster: u64,
-    /// 1 when the join was incremental (boundary slab moves + frontier
-    /// shard transfer); 0 when it degraded to a full re-shard.
+    /// 1 when the join was incremental (boundary slab moves); 0 when it
+    /// degraded to a full re-shard.
     pub incremental: bool,
     /// Boundary slabs moved to the joiners.
     pub slab_moves: u64,
     /// Total λ-area of the moved slabs.
     pub moved_area: u64,
-    /// Frontier records shipped to the joiners instead of rescanned.
-    pub frontier_records_moved: u64,
 }
 
 /// Per-tenant admission totals, from the `serve_tenant` points the server
@@ -977,7 +975,6 @@ impl RunReport {
                         incremental: e.u64("incremental").unwrap_or(0) != 0,
                         slab_moves: e.u64("slab_moves").unwrap_or(0),
                         moved_area: e.u64("moved_area").unwrap_or(0),
-                        frontier_records_moved: e.u64("frontier_records_moved").unwrap_or(0),
                     });
                 }
                 (EventKind::Point, "ft") => {
@@ -1176,15 +1173,6 @@ impl RunReport {
     #[must_use]
     pub fn membership_epochs(&self) -> u64 {
         self.memberships.len() as u64
-    }
-
-    /// Frontier records shipped to joiners instead of being rescanned.
-    #[must_use]
-    pub fn frontier_records_moved(&self) -> u64 {
-        self.memberships
-            .iter()
-            .map(|m| m.frontier_records_moved)
-            .sum()
     }
 
     /// Checkpoint loads that fell back to the backup copy.
@@ -1430,7 +1418,6 @@ mod tests {
                 ("incremental", Value::U64(1)),
                 ("slab_moves", Value::U64(4)),
                 ("moved_area", Value::U64(12_000)),
-                ("frontier_records_moved", Value::U64(9)),
             ],
         );
         obs.point(
@@ -1446,7 +1433,6 @@ mod tests {
         let report = RunReport::from_json_lines(&obs.to_json_lines()).unwrap();
         assert_eq!(report.membership_epochs(), 2);
         assert_eq!(report.joined_ranks(), 3);
-        assert_eq!(report.frontier_records_moved(), 9);
         assert!(report.memberships[0].incremental);
         assert_eq!(report.memberships[0].slab_moves, 4);
         assert!(!report.memberships[1].incremental, "degraded join");

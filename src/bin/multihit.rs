@@ -47,7 +47,7 @@
 //! is noticed; it never evicts a peer for being slow. Plans
 //! may also grow the roster mid-run: `rank-join=R-K` admits rank `R` at the
 //! iteration-`K` barrier through the elastic membership protocol (boundary
-//! slab moves + frontier shard transfer instead of a full re-shard).
+//! slab moves instead of a full re-shard).
 //!
 //! `serve` loads discovered panels into the batched classification server
 //! and answers both wire protocols (JSON-lines and length-prefixed binary
@@ -320,15 +320,11 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     let out = arg_value(args, "--out");
 
     let prune = !has_flag(args, "--no-prune");
-    let frontier_k = if has_flag(args, "--no-frontier") {
-        0
-    } else {
-        parse_or(
-            args,
-            "--frontier-k",
-            multihit::core::frontier::DEFAULT_FRONTIER_K,
-        )?
-    };
+    let frontier_k = parse_or(
+        args,
+        "--frontier-k",
+        multihit::core::frontier::DEFAULT_FRONTIER_K,
+    )?;
     match arg_value(args, "--scan").as_deref() {
         None | Some("auto") => multihit::core::kernel::force_scalar(false),
         Some("scalar") => multihit::core::kernel::force_scalar(true),
@@ -531,12 +527,34 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> Result<(), String> {
     use multihit::cluster::checkpoint::{Checkpoint, CheckpointStore};
     use multihit::cluster::driver::{distributed_discover4_ft, DistributedConfig};
-    use multihit::cluster::fault::{FaultPlan, FaultState, FtParams};
+    use multihit::cluster::fault::{FaultPlan, FaultSpec, FaultState, FtParams};
     use multihit::cluster::topology::ClusterShape;
 
     let seed: u64 = parse_or(args, "--seed", 2021u64)?;
     let probe_ms: u64 = parse_or(args, "--ft-timeout-ms", 50u64)?;
     let plan = FaultPlan::parse(specs, seed)?;
+    // A fault aimed at a rank that never exists can never fire, and a
+    // silent no-op would pass for a recovery.
+    let joiners: Vec<usize> = plan
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            FaultSpec::RankJoin { rank, .. } => Some(rank),
+            _ => None,
+        })
+        .collect();
+    for spec in specs.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        if let [FaultSpec::RankKill { rank, .. } | FaultSpec::Straggler { rank, .. }] =
+            FaultPlan::parse(spec, seed)?.events[..]
+        {
+            if rank >= nodes && !joiners.contains(&rank) {
+                return Err(format!(
+                    "fault spec {spec:?} targets rank {rank}, which never exists \
+                     (--nodes {nodes}, and no rank-join admits it)"
+                ));
+            }
+        }
+    }
     let cohort = generate(&CohortSpec {
         n_genes: 18,
         n_tumor: 90,
@@ -559,11 +577,7 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     if let Some(s) = parse_scheduler(args)? {
         cfg.scheduler = s;
     }
-    if has_flag(args, "--no-frontier") {
-        cfg.frontier_k = 0;
-    } else {
-        cfg.frontier_k = parse_or(args, "--frontier-k", cfg.frontier_k)?;
-    }
+    cfg.frontier_k = parse_or(args, "--frontier-k", cfg.frontier_k)?;
     cfg.kernelize = has_flag(args, "--kernelize");
     eprintln!(
         "fault-injection demo: {nodes} ranks x {} GPUs, plan [{specs}], seed {seed}",
@@ -638,6 +652,14 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     println!("ckpt_fallbacks\t{}", report.ckpt_fallbacks());
     println!("resumed_combinations\t{}", resumed.chosen.len());
     if !matches {
+        // Joins admit ids that were not alive and deaths remove live ones,
+        // so this is the roster the run ended with.
+        if nodes + r.joined_ranks.len() == r.dead_ranks.len() {
+            return Err(format!(
+                "every rank died (dead_ranks {:?}): no survivor could finish the run",
+                r.dead_ranks
+            ));
+        }
         return Err("fault-injected run diverged from single-process discovery".to_string());
     }
     Ok(())
@@ -847,13 +869,13 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
            --cohort LABEL --out R.tsv --publish HOST:PORT
            --no-prune --scan auto|scalar
            --no-kernelize --no-block-sweep --sparse auto|on|off
-           --frontier-k K --no-frontier --metrics-out M.jsonl --trace]
+           --frontier-k K --metrics-out M.jsonl --trace]
   classify --results R.tsv --tumor T.maf --normal N.maf
   cluster  [--dataset brca|acc --nodes N --scheduler ea|ed|ec
            --mtbf S --ckpt-write S --recovery-time S
            --metrics-out M.jsonl --trace]
   cluster  --inject SPECS [--nodes N --scheduler ea|ed|ec --seed S
-           --ft-timeout-ms MS --frontier-k K --no-frontier --kernelize
+           --ft-timeout-ms MS --frontier-k K --kernelize
            --metrics-out M.jsonl --trace]
            SPECS: rank-kill=R@K | rank-join=R-K | straggler=R@F
                   | msg-drop=F-T[@N] | msg-corrupt=F-T[@N]

@@ -127,6 +127,43 @@ fn missing_arguments_are_reported() {
 }
 
 #[test]
+fn inject_rejects_faults_aimed_at_ranks_that_never_exist() {
+    // Such a fault can never fire, so the run would pass for a recovery.
+    for spec in ["rank-kill=7@0", "straggler=9@2.0"] {
+        let out = bin()
+            .args(["cluster", "--nodes", "4", "--inject", spec])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{spec} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(spec), "{spec}: {err}");
+    }
+    // A rank admitted by a join in the same plan does exist.
+    let out = bin()
+        .args(["cluster", "--nodes", "4", "--inject"])
+        .arg("rank-join=5-1, rank-kill=5@2")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("dead_ranks\t[5]"));
+}
+
+#[test]
+fn inject_says_when_every_rank_died() {
+    let out = bin()
+        .args(["cluster", "--nodes", "1", "--inject", "rank-kill=0@0"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("every rank died"), "{err}");
+}
+
+#[test]
 fn loadgen_smoke_is_clean() {
     // Run from an empty working directory: the summary goes to stdout and
     // nothing may be left behind.

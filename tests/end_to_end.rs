@@ -170,8 +170,9 @@ fn cluster_ranks_prune_yet_select_the_exhaustive_panel() {
                 obs.sum("rank_exec", "scored"),
                 obs.sum("rank_exec", "pruned_combos"),
             );
-            // Floor misses discard a rescore round, never a kernel round, so
-            // the rank points and the per-iteration audit see the same scans.
+            // Every iteration runs one rank round, kernels or a frontier hit
+            // that scans nothing, so the rank points and the per-iteration
+            // audit see the same scans.
             assert_eq!(scored + pruned, audited, "{ctx}");
             assert!(
                 pruned > 0,
