@@ -1,13 +1,13 @@
 //! The distributed greedy driver, in two halves:
 //!
 //! * [`distributed_discover4_ft`] — **functional**: real rank threads, each
-//!   GPU's λ-slab really scored (by the core engine, bound-pruned — see
-//!   [`scan_slab4`]), real binomial-tree reduction to rank 0, BitSplicing
-//!   between iterations. There is one driver: a per-rank state machine
-//!   (iteration barrier → admit joiners → frontier check → one rank round:
-//!   kernels unless the frontier hit, reduce, winner broadcast → splice →
-//!   record) over
-//!   the fault-tolerant collectives of [`FtCtx`], and a fault-free run
+//!   GPU's λ-slab really scored (by the core scan driver `discover` uses, in
+//!   its popcount order and bound-pruned — see [`scan_slab4`]), real
+//!   binomial-tree reduction to rank 0, BitSplicing between iterations.
+//!   There is one driver: a per-rank state machine (iteration barrier →
+//!   admit joiners → frontier check → one rank round: kernels unless the
+//!   frontier hit, reduce, winner broadcast → splice → record) over the
+//!   fault-tolerant collectives of [`FtCtx`], and a fault-free run
 //!   ([`distributed_discover4`]) is that machine with an empty fault plan.
 //!   Produces exactly the combinations the single-process reference
 //!   produces (tested), at any cluster shape, whoever dies or joins.
@@ -181,7 +181,8 @@ pub struct DistIteration {
     pub best: Scored<4>,
     /// Tumor samples still uncovered after splicing.
     pub remaining: u32,
-    /// Combinations evaluated per GPU (workload audit).
+    /// Combinations per GPU, scored or cut by the bound (workload audit:
+    /// each equals the GPU's scheduler area).
     pub combos_per_gpu: Vec<u64>,
 }
 
@@ -505,8 +506,8 @@ pub fn distributed_discover4_obs(
 /// global top-K rank 0 reduced on the last kernel round — exactly as
 /// single-process discovery does ([`Frontier::rescore`], then
 /// [`Frontier::is_hit`]). Then every alive rank runs one round: unless the
-/// frontier hit, it scores the λ-slab of each of its node's GPUs with the
-/// pruned core scanner ([`scan_slab4`]; the slab areas, and so the
+/// frontier hit, it scores the λ-slab of each of its node's GPUs through
+/// the core scan driver ([`scan_slab4`]; the slab areas, and so the
 /// `combos_per_gpu` audit, are the scheduler's to the combination); it
 /// takes part in the binomial-tree reduction of its best records to rank 0;
 /// rank 0 broadcasts the 32-byte winner (the frontier's on a hit) and every

@@ -176,12 +176,14 @@ fn wire_faults_are_healed_by_retransmission() {
     assert!(ft.recovery.ft.crc_failures >= 1, "{:?}", ft.recovery.ft);
 }
 
-/// The 60-gene, 2 ranks x 1 GPU, equi-distance shape the eviction cases
+/// The 150-gene, 2 ranks x 1 GPU, equi-distance shape the eviction cases
 /// share: ED leaves the two ranks' workloads far apart (the imbalance of the
 /// paper's Figs 2 and 8), so one rank waits on the other for many probe
-/// intervals.
+/// intervals. Both ranks' scans must outlast several 1 ms probes even in an
+/// optimised build, where the bound cuts almost every combination of a
+/// slab: at 150 genes the lighter rank still scans for a few milliseconds.
 fn imbalanced_two_rank_case() -> (BitMatrix, BitMatrix, DistributedConfig) {
-    let (t, n) = lcg_matrices(60, 90, 60, 13);
+    let (t, n) = lcg_matrices(150, 90, 60, 13);
     let cfg = DistributedConfig {
         shape: ClusterShape {
             nodes: 2,
@@ -227,7 +229,7 @@ fn slow_healthy_ranks_are_never_evicted() {
 #[test]
 fn stragglers_are_tolerated_without_eviction() {
     let (t11, n11) = lcg_matrices(11, 90, 60, 13);
-    let (t60, n60, cfg60) = imbalanced_two_rank_case();
+    let (t150, n150, cfg150) = imbalanced_two_rank_case();
     for (t, n, cfg, spec, params, min_delay_ns) in [
         (
             &t11,
@@ -237,7 +239,14 @@ fn stragglers_are_tolerated_without_eviction() {
             FtParams::fast_test(),
             0,
         ),
-        (&t60, &n60, cfg60, "straggler=1@12.0", IMPATIENT, 10_000_000),
+        (
+            &t150,
+            &n150,
+            cfg150,
+            "straggler=1@12.0",
+            IMPATIENT,
+            10_000_000,
+        ),
     ] {
         let expect = reference(t, n, cfg.max_combinations);
         let obs = Obs::enabled();

@@ -345,6 +345,72 @@ proptest! {
         }
     }
 
+    /// One rank with one GPU holds the whole λ-range, which is the single
+    /// colex range `discover` scans, in the same popcount order: its first
+    /// kernel round scores exactly what the first single-process scan
+    /// scores, and the run as a whole stays within 1.5x of it (later rounds
+    /// are not seeded with the rescored frontier's floor, as `discover`'s
+    /// are).
+    #[test]
+    fn one_rank_scans_what_single_process_discovery_scans(
+        seed in 0u64..10_000,
+        density in 2u64..5,
+    ) {
+        use multihit_cluster::driver::{distributed_discover4_obs, DistributedConfig};
+        use multihit_cluster::topology::ClusterShape;
+        use multihit_core::greedy::{discover_obs, Exclusion, GreedyConfig};
+        use multihit_core::obs::{EventKind, Obs};
+
+        let scored = |obs: &Obs, point: &str, field: &str| -> Vec<u64> {
+            obs.events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Point && e.name == point)
+                .filter_map(|e| e.u64(field))
+                .collect()
+        };
+        let (t, n) = random_cohort(24, seed, density);
+        for k in [1usize, 4, 64] {
+            let single = Obs::enabled();
+            let reference = discover_obs::<4>(
+                &t,
+                &n,
+                &GreedyConfig {
+                    exclusion: Exclusion::BitSplice,
+                    parallel: false,
+                    kernelize: false,
+                    frontier_k: k,
+                    ..GreedyConfig::default()
+                },
+                &single,
+            );
+            let dist_obs = Obs::enabled();
+            let dist = distributed_discover4_obs(
+                &t,
+                &n,
+                &DistributedConfig {
+                    shape: ClusterShape { nodes: 1, gpus_per_node: 1 },
+                    frontier_k: k,
+                    ..DistributedConfig::default()
+                },
+                &dist_obs,
+            );
+            prop_assert!(dist.combinations == reference.combinations, "diverged at k {k}");
+            let ranks = scored(&dist_obs, "rank_exec", "scored");
+            let scans = scored(&single, "greedy_iter", "scan_scored");
+            prop_assert!(
+                ranks[0] == scans[0],
+                "k {k}: the first kernel round scored {}, the first scan {}",
+                ranks[0],
+                scans[0]
+            );
+            let (ranks, scans): (u64, u64) = (ranks.iter().sum(), scans.iter().sum());
+            prop_assert!(
+                ranks as f64 <= 1.5 * scans as f64,
+                "k {k}: the rank scored {ranks}, single-process discovery {scans}"
+            );
+        }
+    }
+
     #[test]
     fn kernelized_distributed_discovery_equals_unkernelized(
         seed in 0u64..10_000,

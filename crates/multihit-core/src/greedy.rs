@@ -16,9 +16,10 @@
 //!
 //! Every scan — argmax or top-K, pruned or exhaustive, block-swept or
 //! stepping — is the scanner's one private traversal (`walk`: score a leaf
-//! run into a sink, advance to the next surviving subtree), and every
-//! whole-range scan goes through one driver (`scan_range`). On top of the
-//! incremental scan sit two exact accelerations:
+//! run into a sink, advance to the next surviving subtree), and every scan
+//! of colex ranges — all `C(G,H)`, or a cluster λ-slab ([`scan_slab4`]) —
+//! goes through one driver (`scan_range`). On top of the incremental scan
+//! sit two exact accelerations:
 //!
 //! * **Branch-and-bound pruning** ([`ComboScanner::scan_pruned`]): at colex
 //!   level `t` the partial-AND popcount bounds TP for *every* completion of
@@ -54,6 +55,7 @@ use crate::reduce::fold_partials;
 use crate::schemes::Scheme4;
 use crate::weight::{Alpha, Combo, Scored};
 use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -937,27 +939,6 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         self.walk(count, &mut best, true, shared, stats);
         best
     }
-
-    /// Scan `count` combinations accumulating the top-K into `acc`, with
-    /// optional branch-and-bound pruning against the accumulator's floor.
-    ///
-    /// The cut requires a *full* heap: with K entries, each scoring at
-    /// least the floor and each colex-earlier than the subtree (`acc` must
-    /// only have seen colex-earlier ranges), every subtree member whose
-    /// bound does not exceed the floor loses the entry rule to all K
-    /// incumbents — so the pruned per-shard result is identical to
-    /// [`crate::reduce::top_k`] over the shard. `shared`, when given,
-    /// carries the highest *full-heap* floor published by any worker.
-    pub fn scan_topk(
-        &mut self,
-        count: u64,
-        acc: &mut TopK<H>,
-        prune: bool,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) {
-        self.walk(count, acc, prune, shared, stats);
-    }
 }
 
 /// Find the argmax-F combination over all `C(G,H)` candidates.
@@ -988,7 +969,10 @@ pub fn best_combination_stats<const H: usize>(
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
 ) -> (Scored<H>, ScanStats) {
-    let (bests, stats) = scan_range(tumor, normal, tumor_mask, cfg, 0, || Scored::NEG_INFINITY);
+    let all = 0..binomial(tumor.n_genes() as u64, H as u64);
+    let (bests, stats) = scan_range(tumor, normal, tumor_mask, cfg, 0, &[all], || {
+        Scored::NEG_INFINITY
+    });
     (fold_partials(bests), stats)
 }
 
@@ -1026,19 +1010,22 @@ fn popcount_order(tumor: &BitMatrix, tumor_mask: Option<&[u64]>) -> Vec<u32> {
     keyed.into_iter().map(|(_, g)| g).collect()
 }
 
-/// Walk all `C(G,H)` combinations into one sink per worker.
+/// Walk the combinations whose colex ranks lie in `ranges` into one sink
+/// per worker.
 ///
-/// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
-/// one worker per core; each worker threads its own sink through the
-/// (colex-ascending) blocks it takes and, when pruning, publishes the
-/// sink's floor to a shared atomic that tightens every worker's cut.
+/// With `cfg.parallel` a [`BlockQueue`] λ-cursor over the ranges laid end
+/// to end hands guided-size blocks to one worker per core; each worker
+/// threads its own sink through the blocks it takes, a block's pieces of
+/// each range in turn, and, when pruning, publishes the sink's floor to a
+/// shared atomic that tightens every worker's cut.
 ///
 /// A pruned scan walks the genes heaviest first ([`popcount_order`]), over
 /// row-permuted copies of both matrices, so that the first combinations
-/// scored set a high floor and the bound cuts early. Each worker's sink is
-/// wrapped in [`Ordered`], which maps the scanned rows back to gene ids:
-/// the sinks come back holding exactly what an identity-order scan leaves.
-/// An unpruned scan keeps the identity order and pays nothing.
+/// scored set a high floor and the bound cuts early; `ranges` rank
+/// combinations of those permuted rows. Each worker's sink is wrapped in
+/// [`Ordered`], which maps the scanned rows back to gene ids: over the
+/// whole range the sinks come back holding exactly what an identity-order
+/// scan leaves. An unpruned scan keeps the identity order and pays nothing.
 ///
 /// `seed` hot-starts that shared bound. It must be a floor the **current**
 /// matrices witness — as many combinations scoring at least `seed` as a
@@ -1051,9 +1038,18 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
     seed: u64,
+    ranges: &[Range<u64>],
     new_sink: impl Fn() -> S + Sync,
 ) -> (Vec<S>, ScanStats) {
-    let total = binomial(tumor.n_genes() as u64, H as u64);
+    // Where each range ends, the ranges laid end to end.
+    let ends: Vec<u64> = ranges
+        .iter()
+        .scan(0, |end, r| {
+            *end += r.end - r.start;
+            Some(*end)
+        })
+        .collect();
+    let total = ends.last().copied().unwrap_or(0);
     let mut stats = ScanStats::default();
     if total == 0 {
         return (Vec::new(), stats);
@@ -1086,7 +1082,7 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
         }
         sc
     };
-    // A lone worker takes the whole range as one block.
+    // A lone worker takes all the ranges as one block.
     let min_grain = if workers == 1 {
         total
     } else {
@@ -1100,31 +1096,38 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
     let results = par::run_workers(workers, |_| {
         let mut sink = new_sink();
         let mut st = ScanStats::default();
-        // One scanner per worker, re-seeked across stolen blocks: block
-        // turnover must not re-allocate the per-level partial buffers.
+        // One scanner per worker, re-seeked at every piece of every block:
+        // block turnover must not re-allocate the per-level partial buffers.
         let mut scanner: Option<ComboScanner<H>> = None;
-        while let Some((lo, hi)) = queue.next() {
+        while let Some((mut at, hi)) = queue.next() {
             st.blocks += 1;
-            let sc = match scanner.as_mut() {
-                Some(sc) => {
-                    sc.reseek(lo);
-                    sc
+            while at < hi {
+                // The range holding `at`, and the block's piece of it.
+                let i = ends.partition_point(|&e| e <= at);
+                let end = ends[i].min(hi);
+                let start = ranges[i].end - (ends[i] - at);
+                let sc = match scanner.as_mut() {
+                    Some(sc) => {
+                        sc.reseek(start);
+                        sc
+                    }
+                    None => {
+                        st.scanner_builds += 1;
+                        scanner.insert(make_scanner(start))
+                    }
+                };
+                let (count, shared) = (end - at, shared.as_ref());
+                match order.as_deref() {
+                    Some(genes) => {
+                        let mut sink = Ordered {
+                            inner: &mut sink,
+                            genes,
+                        };
+                        sc.walk(count, &mut sink, cfg.prune, shared, &mut st);
+                    }
+                    None => sc.walk(count, &mut sink, cfg.prune, shared, &mut st),
                 }
-                None => {
-                    st.scanner_builds += 1;
-                    scanner.insert(make_scanner(lo))
-                }
-            };
-            let (count, shared) = (hi - lo, shared.as_ref());
-            match order.as_deref() {
-                Some(genes) => {
-                    let mut sink = Ordered {
-                        inner: &mut sink,
-                        genes,
-                    };
-                    sc.walk(count, &mut sink, cfg.prune, shared, &mut st);
-                }
-                None => sc.walk(count, &mut sink, cfg.prune, shared, &mut st),
+                at = end;
             }
         }
         if let Some(sc) = &scanner {
@@ -1170,27 +1173,27 @@ pub fn best_combination_frontier<const H: usize>(
     seed_floor: u64,
 ) -> (Scored<H>, ScanStats, Frontier<H>) {
     let k = cfg.frontier_k;
-    let (accs, stats) = scan_range(tumor, normal, tumor_mask, cfg, seed_floor, || TopK::new(k));
+    let all = 0..binomial(tumor.n_genes() as u64, H as u64);
+    let total = all.end;
+    let (accs, stats) = scan_range(tumor, normal, tumor_mask, cfg, seed_floor, &[all], || {
+        TopK::new(k)
+    });
     let shards: Vec<_> = accs.into_iter().map(TopK::into_sorted).collect();
-    let total = binomial(tumor.n_genes() as u64, H as u64);
     let fr = Frontier::from_shards(&shards, k, total);
     (fr.best(), stats, fr)
 }
 
 /// Score the slab `[lo, hi)` of `scheme`'s threads — one GPU's share of a
 /// distributed iteration — and return its `keep` best combinations, best
-/// first (empty when the slab holds no combination), exactly
-/// [`crate::reduce::top_k`] over the slab's exhaustively scored set.
+/// first (empty when the slab holds no combination).
 ///
-/// The slab is walked as its ascending colex ranges
-/// ([`Scheme4::for_each_colex_range`]) by one dense [`ComboScanner`]
-/// re-seeked from range to range, all feeding one accumulator. Because the
-/// ranges ascend, every retained entry is colex-earlier than whatever is
-/// scanned next, which is all [`ComboScanner::scan_topk`]'s non-strict
-/// full-heap cut needs to stay exact under the colex tie-break. Every
-/// combination is either scored or counted in a pruned subtree, so
-/// `scored + pruned_combos` of the returned stats is the slab's scheduler
-/// area.
+/// The slab is its colex ranges ([`Scheme4::for_each_colex_range`]) of the
+/// matrices' rows in [`scan_range`]'s popcount order, walked by one dense
+/// pruned scanner into one top-K. Every rank holding these matrices derives
+/// the same order, so the slabs of a partition still tile `C(G,4)`; the
+/// result is [`crate::reduce::top_k`] over the slab's combinations, mapped
+/// back to gene ids. Every combination is either scored or counted in a
+/// pruned subtree, so `scored + pruned_combos` is the slab's scheduler area.
 #[must_use]
 pub fn scan_slab4(
     tumor: &BitMatrix,
@@ -1201,27 +1204,17 @@ pub fn scan_slab4(
     hi: u64,
     keep: usize,
 ) -> (Vec<Scored<4>>, ScanStats) {
-    let mut acc = TopK::new(keep);
-    let mut stats = ScanStats::default();
-    // Built at the first range: a slab without one (more GPUs than threads)
-    // must not trip the scanner's `H <= G` precondition.
-    let mut scanner: Option<ComboScanner<4>> = None;
-    scheme.for_each_colex_range(lo, hi, tumor.n_genes() as u32, |range| {
-        let sc = match scanner.as_mut() {
-            Some(sc) => {
-                sc.reseek(range.start);
-                sc
-            }
-            None => scanner.insert(ComboScanner::new(tumor, normal, None, alpha, range.start)),
-        };
-        sc.scan_topk(range.end - range.start, &mut acc, true, None, &mut stats);
-    });
-    if let Some(sc) = &scanner {
-        stats.scanner_builds = 1;
-        stats.block_sweeps = sc.block_sweeps();
-        stats.swept_rows = sc.swept_rows();
-    }
-    (acc.into_sorted(), stats)
+    let mut ranges = Vec::new();
+    scheme.for_each_colex_range(lo, hi, tumor.n_genes() as u32, |r| ranges.push(r));
+    let cfg = GreedyConfig {
+        alpha,
+        parallel: false,
+        prune: true,
+        sparse: SparseMode::Off,
+        ..GreedyConfig::default()
+    };
+    let (mut accs, stats) = scan_range(tumor, normal, None, &cfg, 0, &ranges, || TopK::new(keep));
+    (accs.pop().map_or_else(Vec::new, TopK::into_sorted), stats)
 }
 
 /// Run the full greedy weighted-set-cover discovery for `H`-hit
@@ -1828,7 +1821,8 @@ mod tests {
     }
 
     /// The slab's combinations scored one by one through the scheme's own
-    /// enumeration — what the exhaustive GPU kernel evaluates.
+    /// enumeration — what the exhaustive GPU kernel evaluates — over the
+    /// popcount-ordered rows `scan_slab4` walks, mapped back to gene ids.
     fn slab_scores(
         t: &BitMatrix,
         n: &BitMatrix,
@@ -1836,10 +1830,15 @@ mod tests {
         lo: u64,
         hi: u64,
     ) -> Vec<Scored<4>> {
+        let order = popcount_order(t, None);
+        let (t, n) = (t.select_rows(&order), n.select_rows(&order));
         let mut all = Vec::new();
         for lambda in lo..hi {
-            scheme.for_each_combo(lambda, t.n_genes() as u32, |c| {
-                all.push(score_combo(t, n, &c, Alpha::PAPER));
+            scheme.for_each_combo(lambda, t.n_genes() as u32, |rows| {
+                let mut s = score_combo(&t, &n, &rows, Alpha::PAPER);
+                s.genes = rows.map(|r| order[r as usize]);
+                s.genes.sort_unstable();
+                all.push(s);
             });
         }
         all
@@ -2136,12 +2135,12 @@ mod tests {
                 let mut st = ScanStats::default();
                 let mut sc = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
                 sc.set_sweep_width(1);
-                sc.scan_topk(total, &mut want, prune, None, &mut st);
+                sc.walk(total, &mut want, prune, None, &mut st);
                 let mut got = TopK::new(k);
                 let mut st2 = ScanStats::default();
                 let mut sc = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
                 sc.set_sweep_width(kernel::SWEEP_BLOCK);
-                sc.scan_topk(total, &mut got, prune, None, &mut st2);
+                sc.walk(total, &mut got, prune, None, &mut st2);
                 assert_eq!(got.into_sorted(), want.into_sorted(), "k={k} prune={prune}");
                 assert_eq!(st2.scored + st2.pruned_combos, total);
             }
@@ -2278,8 +2277,8 @@ mod tests {
         for k in [1usize, 4, 64] {
             let mut acc = TopK::new(k);
             let mut st = ScanStats::default();
-            scanner(0).scan_topk(split, &mut acc, true, None, &mut st);
-            scanner(split).scan_topk(total - split, &mut acc, true, None, &mut st);
+            scanner(0).walk(split, &mut acc, true, None, &mut st);
+            scanner(split).walk(total - split, &mut acc, true, None, &mut st);
             out.push(triple(&st));
         }
         out
@@ -2332,12 +2331,20 @@ mod tests {
             ..GreedyConfig::default()
         };
         let triple = |st: ScanStats| (st.scored, st.pruned_subtrees, st.pruned_combos);
-        let argmax = |seed| scan_range(&t, &n, None, &cfg, seed, || Scored::<H>::NEG_INFINITY);
+        let all = 0..binomial(g as u64, H as u64);
+        let argmax = |seed| {
+            scan_range(&t, &n, None, &cfg, seed, std::slice::from_ref(&all), || {
+                Scored::<H>::NEG_INFINITY
+            })
+        };
         let (bests, st) = argmax(0);
         let mut out = vec![triple(st), triple(argmax(bests[0].score).1)];
         for k in [1usize, 4, 64] {
             out.push(triple(
-                scan_range(&t, &n, None, &cfg, 0, || TopK::<H>::new(k)).1,
+                scan_range(&t, &n, None, &cfg, 0, std::slice::from_ref(&all), || {
+                    TopK::<H>::new(k)
+                })
+                .1,
             ));
         }
         out

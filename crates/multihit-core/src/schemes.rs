@@ -18,6 +18,7 @@
 //! them through [`Scheme4::workload`].
 
 use crate::combin::{binomial, tet, tri, unrank_pair, unrank_triple, unrank_tuple};
+use std::ops::Range;
 
 /// A parallelization scheme for 4-hit enumeration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -173,9 +174,9 @@ impl Scheme4 {
         }
     }
 
-    /// Decompose the slab `[lo, hi)` of this scheme's threads into ranges of
-    /// the 4-tuple colex order ([`crate::combin::rank_tuple`]), handed to `f`
-    /// ascending and disjoint.
+    /// Decompose the slab `[lo, hi)` of this scheme's threads into maximal
+    /// ranges of the 4-tuple colex order ([`crate::combin::rank_tuple`]),
+    /// handed to `f` ascending and disjoint.
     ///
     /// A slab is not one colex range — a thread streams its tuple's *upper*
     /// coordinates, colex order streams the lowest — but the flattened
@@ -183,21 +184,23 @@ impl Scheme4 {
     /// `3x1` each `l`, for `2x2` each `(k, l)` in colex order) the slab's
     /// prefixes that lie below `min U` are the contiguous run
     /// `base(U) + [lo, min(hi, C(min U, a)))`, `a` the flattened depth and
-    /// `base(U) = Σ_t C(u_t, t+1)`. The union is exactly the slab's
-    /// [`Self::for_each_combo`] set, so the lengths sum to its
+    /// `base(U) = Σ_t C(u_t, t+1)`. Runs that touch are merged, so all the
+    /// threads make the one range `[0, C(g, 4))`. The union is exactly the
+    /// slab's [`Self::for_each_combo`] set, so the lengths sum to its
     /// [`Self::workload`] area.
-    pub fn for_each_colex_range<F: FnMut(std::ops::Range<u64>)>(
-        self,
-        lo: u64,
-        hi: u64,
-        g: u32,
-        mut f: F,
-    ) {
+    pub fn for_each_colex_range<F: FnMut(Range<u64>)>(self, lo: u64, hi: u64, g: u32, mut f: F) {
+        // The run being grown, handed out once the next one does not touch.
+        let mut open = 0..0;
         // `n` prefixes fit below the upper tuple whose colex base is `base`.
         let mut below = |base: u64, n: u64| {
             let end = hi.min(n);
-            if lo < end {
-                f(base + lo..base + end);
+            if lo < end && open.end == base + lo {
+                open.end = base + end;
+            } else if lo < end {
+                let run = std::mem::replace(&mut open, base + lo..base + end);
+                if !run.is_empty() {
+                    f(run);
+                }
             }
         };
         // Colex base of the upper tuples topped by `l`.
@@ -227,6 +230,9 @@ impl Scheme4 {
                 }
             }
             Scheme4::FourXOne => below(0, quad(g)),
+        }
+        if !open.is_empty() {
+            f(open);
         }
     }
 

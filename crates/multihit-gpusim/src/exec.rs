@@ -17,8 +17,8 @@
 //!
 //! This is the audited *exhaustive* reference — what the cost model prices
 //! and the benches time. The functional cluster ranks do not run it: they
-//! score their slabs through the bound-pruned
-//! [`multihit_core::greedy::scan_slab4`].
+//! score their slabs through [`multihit_core::greedy::scan_slab4`], which
+//! hands them to the popcount-ordered, bound-pruned scan `discover` runs.
 
 use crate::profile::WorkProfile;
 use multihit_core::bitmat::BitMatrix;
