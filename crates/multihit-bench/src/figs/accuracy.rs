@@ -14,7 +14,7 @@ use multihit_data::synth::generate;
 /// cohort, split 75/25, discover 4-hit combinations on the training split,
 /// classify the test split.
 #[must_use]
-pub fn evaluate_cancer(cancer: CancerType, g: usize, seed: u64) -> (Performance, usize, f64) {
+fn evaluate_cancer(cancer: CancerType, g: usize, seed: u64) -> (Performance, usize, f64) {
     let cohort = generate(&cancer.mini_spec(g, seed));
     let split = split_cohort(&cohort.tumor, &cohort.normal, 0.75, seed ^ 0xABCD);
     let result = discover::<4>(

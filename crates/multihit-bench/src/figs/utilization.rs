@@ -129,7 +129,7 @@ pub fn fig7() -> Vec<Table> {
 
 /// Pearson correlation of two equal-length series.
 #[must_use]
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len() as f64;
     if n < 2.0 {

@@ -39,7 +39,7 @@ impl Table {
 
     /// Render as an aligned console table.
     #[must_use]
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for r in &self.rows {
             for (w, c) in widths.iter_mut().zip(r) {
@@ -67,7 +67,7 @@ impl Table {
 
     /// Render as CSV (header row + data rows).
     #[must_use]
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let esc = |c: &str| {
             if c.contains(',') || c.contains('"') {
                 format!("\"{}\"", c.replace('"', "\"\""))

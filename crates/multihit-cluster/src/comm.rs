@@ -66,7 +66,7 @@ impl RankCtx {
     /// Send bytes to a peer rank; `false` if the peer's receiver is gone
     /// (the rank crashed or already returned). The fault-tolerant paths use
     /// this so a dead peer is detected instead of panicking.
-    pub fn try_send(&self, to: usize, bytes: Vec<u8>) -> bool {
+    fn try_send(&self, to: usize, bytes: Vec<u8>) -> bool {
         self.senders[to].send((self.rank, bytes)).is_ok()
     }
 
@@ -189,9 +189,9 @@ const KIND_FAIL: u8 = 3;
 const FRAME_HEADER: usize = 10;
 
 /// Logical channel for the per-iteration reduce.
-pub const TAG_REDUCE: u8 = 0;
+const TAG_REDUCE: u8 = 0;
 /// Logical channel for the per-iteration broadcast.
-pub const TAG_BCAST: u8 = 1;
+const TAG_BCAST: u8 = 1;
 
 fn encode_frame(kind: u8, tag: u8, seq: u32, payload: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(FRAME_HEADER + payload.len());

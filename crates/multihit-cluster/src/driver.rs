@@ -102,13 +102,7 @@ impl SchedulerKind {
     /// scheduler itself (`partition_ns`) plus the EA-area imbalance of the
     /// partitioning it produced, as a `sched_partition` point.
     #[must_use]
-    pub fn partitions_obs(
-        self,
-        scheme: Scheme4,
-        g: u32,
-        parts: usize,
-        obs: &Obs,
-    ) -> Vec<Partition> {
+    fn partitions_obs(self, scheme: Scheme4, g: u32, parts: usize, obs: &Obs) -> Vec<Partition> {
         let start = Instant::now();
         let partitions = self.partitions(scheme, g, parts);
         let partition_ns = elapsed_ns(start);
@@ -154,7 +148,7 @@ pub struct DistributedConfig {
     /// are bit-identical either way).
     pub frontier_k: usize,
     /// Kernelize the instance once on rank 0 and broadcast the reduction
-    /// certificate before the main loop (see [`multihit_core::kernelize`]).
+    /// certificate before the main loop (see [`multihit_core::kernelize()`]).
     /// The selected combinations are bit-identical either way.
     pub kernelize: bool,
 }
@@ -1007,14 +1001,6 @@ pub struct ModeledRun {
     pub total_s: f64,
 }
 
-impl ModeledRun {
-    /// Total communication time across iterations.
-    #[must_use]
-    pub fn comm_total(&self) -> f64 {
-        self.iterations.iter().map(|i| i.comm_s).sum()
-    }
-}
-
 /// Price a full run under the cost models. `O(iterations × gpus × G)`.
 #[must_use]
 pub fn model_run(cfg: &ModelConfig) -> ModeledRun {
@@ -1103,12 +1089,8 @@ pub fn model_run_obs(cfg: &ModelConfig, obs: &Obs) -> ModeledRun {
 /// ([`crate::des`]): one [`Timeline`](crate::des::Timeline) per iteration,
 /// built from the same per-GPU costs `model_run` prices. Gives per-rank
 /// busy/idle/communication attribution instead of aggregate times.
-#[must_use]
-pub fn timeline_run(cfg: &ModelConfig) -> Vec<crate::des::Timeline> {
-    timeline_run_obs(cfg, &Obs::disabled())
-}
-
-/// [`timeline_run`] with observability: one `rank` point per rank per
+///
+/// With `obs` enabled: one `rank` point per rank per
 /// iteration attributing the makespan into `busy_ns` (concurrent kernel
 /// wall + communication), `idle_ns` (waiting on the straggler) and
 /// `comm_ns`, plus one `timeline_iter` point per iteration. By the DES
@@ -1709,7 +1691,7 @@ mod tests {
         // ≥ max(comp), ≤ max(comp) + full tree cost.
         let cfg = ModelConfig::brca(100);
         let run = model_run(&cfg);
-        let timelines = timeline_run(&cfg);
+        let timelines = timeline_run_obs(&cfg, &Obs::disabled());
         assert_eq!(timelines.len(), run.iterations.len());
         for (tl, it) in timelines.iter().zip(&run.iterations) {
             let comp = it.per_rank_comp.iter().copied().fold(0.0f64, f64::max);
@@ -1760,7 +1742,7 @@ mod tests {
         // Instrumentation must not perturb the model: same iterations,
         // same makespans, bit-identical schedule.
         let cfg = ModelConfig::brca(20);
-        let plain = timeline_run(&cfg);
+        let plain = timeline_run_obs(&cfg, &Obs::disabled());
         let observed = timeline_run_obs(&cfg, &Obs::enabled());
         assert_eq!(plain.len(), observed.len());
         for (a, b) in plain.iter().zip(&observed) {
@@ -1778,6 +1760,7 @@ mod tests {
             .iter()
             .map(|i| i.per_rank_comp.iter().copied().fold(0.0f64, f64::max))
             .sum();
-        assert!(run.comm_total() < 0.01 * comp);
+        let comm: f64 = run.iterations.iter().map(|i| i.comm_s).sum();
+        assert!(comm < 0.01 * comp);
     }
 }

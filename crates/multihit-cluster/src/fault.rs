@@ -87,7 +87,7 @@ pub enum FaultSpec {
 impl FaultSpec {
     /// Stable name used in `fault` obs points and CLI output.
     #[must_use]
-    pub fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         match self {
             FaultSpec::RankKill { .. } => "rank_kill",
             FaultSpec::Straggler { .. } => "straggler",
@@ -408,12 +408,6 @@ impl FaultState {
         admitted
     }
 
-    /// Does the plan contain any `rank-join` events (fired or not)?
-    #[must_use]
-    pub fn has_joins(&self) -> bool {
-        !self.joins.is_empty()
-    }
-
     /// Straggler factor for original rank `rank`, if planned.
     #[must_use]
     pub fn straggler_factor(&self, rank: usize) -> Option<f64> {
@@ -600,7 +594,6 @@ mod tests {
             FaultPlan::parse("rank-join=4-2, rank-join=5-2, rank-join=6-3", 0).unwrap(),
             &Obs::disabled(),
         );
-        assert!(st.has_joins());
         assert!(st.take_joins(1).is_empty());
         assert_eq!(st.take_joins(2), vec![4, 5]);
         assert!(st.take_joins(2).is_empty(), "joins must not re-fire");

@@ -45,7 +45,7 @@ impl CostWeights {
     /// Modeled cost of one thread with inner length `t`, scaled ×1000 to an
     /// integer so the exact-arithmetic level walk applies.
     #[must_use]
-    pub fn thread_cost_milli(&self, t: u64) -> u64 {
+    fn thread_cost_milli(&self, t: u64) -> u64 {
         let c = t as f64 + self.setup + self.prefetch * self.prefetch_rows;
         (c * 1000.0).round() as u64
     }

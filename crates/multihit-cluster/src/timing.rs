@@ -7,14 +7,14 @@ use crate::driver::{model_run, ModelConfig};
 /// `(base_nodes, base_time)`: `ideal/actual = base_time·base_nodes /
 /// (time·nodes)`.
 #[must_use]
-pub fn strong_efficiency(base_nodes: usize, base_time: f64, nodes: usize, time: f64) -> f64 {
+fn strong_efficiency(base_nodes: usize, base_time: f64, nodes: usize, time: f64) -> f64 {
     (base_time * base_nodes as f64) / (time * nodes as f64)
 }
 
 /// Weak scaling efficiency: fixed per-processor workload, so ideal time is
 /// constant — `base_time / time`.
 #[must_use]
-pub fn weak_efficiency(base_time: f64, time: f64) -> f64 {
+fn weak_efficiency(base_time: f64, time: f64) -> f64 {
     base_time / time
 }
 
@@ -336,7 +336,7 @@ impl ChurnBill {
 /// Price one run of `run_s` useful seconds on `nodes` nodes (`gpus` total
 /// GPUs) under MTBF-driven churn, for all three recovery policies.
 #[must_use]
-pub fn churn_bill(params: &ChurnParams, nodes: usize, gpus: usize, run_s: f64) -> ChurnBill {
+fn churn_bill(params: &ChurnParams, nodes: usize, gpus: usize, run_s: f64) -> ChurnBill {
     let fm = &params.model;
     let mtbf = fm.system_mtbf_s(nodes);
     let interval = fm.young_interval_s(nodes);

@@ -18,7 +18,7 @@
 use crate::kernel;
 
 /// Bits per packed word.
-pub const WORD_BITS: usize = 64;
+const WORD_BITS: usize = 64;
 
 /// A dense, row-major, bit-packed gene×sample matrix.
 ///

@@ -148,7 +148,7 @@ pub fn unrank_triple(lambda: u64) -> (u32, u32, u32) {
 /// over every `j` block: the computed float map is monotone in λ, so
 /// checking both ends of each block covers the interior). The paper's
 /// 3-hit runs at `G ≈ 20000` stay ~45 million times below this boundary.
-pub const UNRANK_PAIR_FLOAT_LIMIT: u64 = (1 << 53) + (1 << 26) - 1;
+const UNRANK_PAIR_FLOAT_LIMIT: u64 = (1 << 53) + (1 << 26) - 1;
 
 /// First λ where [`unrank_triple_float`] diverges from the exact
 /// [`unrank_triple`]: `C(9,3) = 84`.
@@ -163,11 +163,11 @@ pub const UNRANK_PAIR_FLOAT_LIMIT: u64 = (1 << 53) + (1 << 26) - 1;
 /// λ values keep matching far beyond this (the sampled 4-hit-domain test
 /// passes), but correctness guarantees end here — which is why the gpusim
 /// decode path falls back to the exact map from this λ on.
-pub const UNRANK_TRIPLE_FLOAT_LIMIT: u64 = 84;
+const UNRANK_TRIPLE_FLOAT_LIMIT: u64 = 84;
 
 /// The paper's Algorithm 1 float formula for the triangular inverse, kept
 /// verbatim (no integer fix-up). Bit-exact for every
-/// `λ < `[`UNRANK_PAIR_FLOAT_LIMIT`]` = 2⁵³ + 2²⁶ − 1` — comfortably
+/// `λ < UNRANK_PAIR_FLOAT_LIMIT = 2⁵³ + 2²⁶ − 1` — comfortably
 /// covering the λ range of a 3-hit run at `G ≈ 20000` — and silently
 /// corrupt past it (the recovered `i` wraps through `u64`). Exposed so the
 /// benches can chart its accuracy domain against [`unrank_pair`]; runtime
@@ -186,8 +186,8 @@ pub fn unrank_pair_float(lambda: u64) -> (u32, u32) {
 }
 
 /// GPU-path pair unranking: the paper's float formula inside its verified
-/// accuracy domain (`λ < `[`UNRANK_PAIR_FLOAT_LIMIT`]), the exact integer
-/// map beyond it. Bit-identical to [`unrank_pair`] for **every** λ.
+/// accuracy domain (`λ < UNRANK_PAIR_FLOAT_LIMIT = 2⁵³ + 2²⁶ − 1`), the
+/// exact integer map beyond it. Bit-identical to [`unrank_pair`] for **every** λ.
 #[inline]
 #[must_use]
 pub fn unrank_pair_fast(lambda: u64) -> (u32, u32) {
@@ -199,7 +199,7 @@ pub fn unrank_pair_fast(lambda: u64) -> (u32, u32) {
 }
 
 /// GPU-path triple unranking: the paper's §III-F float formula inside its
-/// verified accuracy domain (`1 ≤ λ < `[`UNRANK_TRIPLE_FLOAT_LIMIT`]), the
+/// verified accuracy domain (`1 ≤ λ < UNRANK_TRIPLE_FLOAT_LIMIT = 84`), the
 /// exact integer map beyond it (and at λ = 0, where the log/exp trick is
 /// undefined). Bit-identical to [`unrank_triple`] for **every** λ.
 #[inline]
@@ -219,11 +219,11 @@ pub fn unrank_triple_fast(lambda: u64) -> (u32, u32, u32) {
 /// expression, then apply the closed-form cube-root recovery of `k`.
 ///
 /// Like the CUDA original this is *approximate*: bit-exact only for
-/// `1 ≤ λ < `[`UNRANK_TRIPLE_FLOAT_LIMIT`]` = 84` (the truncated cube-root
-/// series undershoots `k` at range-boundary λ from C(9,3) on — see the
-/// constant's docs), and silently corrupt past that. Callers needing
-/// exactness use [`unrank_triple`]; the runtime decode path is
-/// [`unrank_triple_fast`]. Requires `lambda ≥ 1`.
+/// `1 ≤ λ < UNRANK_TRIPLE_FLOAT_LIMIT = 84` (the truncated cube-root
+/// series undershoots `k` at range-boundary λ from C(9,3) on), and
+/// silently corrupt past that. Callers needing exactness use
+/// [`unrank_triple`]; the runtime decode path is [`unrank_triple_fast`].
+/// Requires `lambda ≥ 1`.
 #[inline]
 #[must_use]
 pub fn unrank_triple_float(lambda: u64) -> (u32, u32, u32) {
@@ -324,15 +324,6 @@ pub fn workload_2x2(lambda: u64, g: u32) -> u64 {
 pub fn workload_3x1(lambda: u64, g: u32) -> u64 {
     let (_i, _j, k) = unrank_triple(lambda);
     (g - 1 - k) as u64
-}
-
-/// Workload of thread λ under the **2-flatten 3-hit scheme** (Algorithm 1):
-/// thread `(i,j)` runs `k` over `j+1..G`.
-#[inline]
-#[must_use]
-pub fn workload_3hit_2x1(lambda: u64, g: u32) -> u64 {
-    let (_i, j) = unrank_pair(lambda);
-    (g - 1 - j) as u64
 }
 
 #[cfg(test)]
@@ -585,16 +576,12 @@ mod tests {
     #[test]
     fn workload_totals_match_combination_counts() {
         // Σ over threads of the per-thread workload must equal C(G,4) for the
-        // 4-hit schemes and C(G,3) for the 3-hit scheme.
+        // 4-hit schemes.
         let g = 30u32;
         let total_2x2: u64 = (0..binomial(g as u64, 2)).map(|l| workload_2x2(l, g)).sum();
         assert_eq!(total_2x2, binomial(g as u64, 4));
         let total_3x1: u64 = (0..binomial(g as u64, 3)).map(|l| workload_3x1(l, g)).sum();
         assert_eq!(total_3x1, binomial(g as u64, 4));
-        let total_3hit: u64 = (0..binomial(g as u64, 2))
-            .map(|l| workload_3hit_2x1(l, g))
-            .sum();
-        assert_eq!(total_3hit, binomial(g as u64, 3));
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Exclusion {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SparseMode {
     /// Measure the matrices' zero-word fraction and enable the sparse path
-    /// when at least [`SPARSE_AUTO_THRESHOLD`] of packed words are zero.
+    /// when at least half (`SPARSE_AUTO_THRESHOLD`) of packed words are zero.
     Auto,
     /// Always scan sparse.
     On,
@@ -105,7 +105,7 @@ impl SparseMode {
 
 /// Zero-word fraction (across tumor + normal words) at which
 /// [`SparseMode::Auto`] switches the scan to the sparse path.
-pub const SPARSE_AUTO_THRESHOLD: f64 = 0.5;
+const SPARSE_AUTO_THRESHOLD: f64 = 0.5;
 
 /// Configuration for a greedy discovery run.
 #[derive(Clone, Copy, Debug)]
@@ -126,7 +126,7 @@ pub struct GreedyConfig {
     /// (see [`crate::frontier`]). 0 disables the frontier; the selected
     /// combinations are bit-identical either way.
     pub frontier_k: usize,
-    /// Run the exact [`crate::kernelize`] reduction before the greedy loop
+    /// Run the exact [`crate::kernelize()`] reduction before the greedy loop
     /// and un-map the result. The selected panel is bit-identical either
     /// way; defaults off so existing call sites keep their exact behavior.
     pub kernelize: bool,
@@ -192,16 +192,6 @@ impl ScanStats {
         self.block_sweeps += other.block_sweeps;
         self.swept_rows += other.swept_rows;
         self.scanner_builds += other.scanner_builds;
-    }
-
-    /// Mean candidate rows per block-kernel call (0 when stepping).
-    #[must_use]
-    pub fn rows_per_sweep(&self) -> f64 {
-        if self.block_sweeps == 0 {
-            0.0
-        } else {
-            self.swept_rows as f64 / self.block_sweeps as f64
-        }
     }
 
     /// Fraction of the enumerated range eliminated without scoring.
@@ -546,7 +536,7 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
     /// allocation. Equivalent to building a fresh scanner at `start` (the
     /// accumulated counters are deliberately kept — harvest them once at
     /// the end of a worker's life, not per block).
-    pub fn reseek(&mut self, start: u64) {
+    fn reseek(&mut self, start: u64) {
         self.combo = unrank_tuple::<H>(start);
         self.rebuild_from(H - 1);
     }
@@ -955,6 +945,22 @@ pub fn best_combination<const H: usize>(
     best_combination_stats(tumor, normal, tumor_mask, cfg).0
 }
 
+/// The colex ranks `0..C(G, H)` a full scan of `g` genes walks.
+///
+/// # Panics
+/// Panics when `C(G, H)` does not fit in `u64` (at H = 5, past
+/// G = 18,580): `binomial` saturates there, and a scan of the saturated
+/// range would skip the ranks above `u64::MAX` without a word.
+fn full_space<const H: usize>(g: usize) -> std::ops::Range<u64> {
+    let n = binomial(g as u64, H as u64);
+    assert!(
+        n < u64::MAX,
+        "G = {g}, H = {H}: C({g}, {H}) colex ranks exceed u64::MAX; a full scan \
+         needs C(G, H) < u64::MAX (G <= 18,580 at H = 5)"
+    );
+    0..n
+}
+
 /// Find the argmax-F combination and report how the scan got there.
 ///
 /// With `cfg.parallel` the range is scanned by work-stealing workers that
@@ -962,6 +968,9 @@ pub fn best_combination<const H: usize>(
 /// [`fold_partials`], so the result is bit-identical to the sequential scan
 /// regardless of schedule, and with `cfg.prune` off it is bit-identical to
 /// the exhaustive reference.
+///
+/// # Panics
+/// Panics when `C(G, H)` does not fit in `u64` (at H = 5, past G = 18,580).
 #[must_use]
 pub fn best_combination_stats<const H: usize>(
     tumor: &BitMatrix,
@@ -969,7 +978,7 @@ pub fn best_combination_stats<const H: usize>(
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
 ) -> (Scored<H>, ScanStats) {
-    let all = 0..binomial(tumor.n_genes() as u64, H as u64);
+    let all = full_space::<H>(tumor.n_genes());
     let (bests, stats) = scan_range(tumor, normal, tumor_mask, cfg, 0, &[all], || {
         Scored::NEG_INFINITY
     });
@@ -1164,6 +1173,9 @@ fn scan_range<const H: usize, S: Sink<H> + Send>(
 /// `seed_floor` hot-starts the shared cut; it must be witnessed by
 /// `cfg.frontier_k` current combinations (the rescored frontier's K-th
 /// score qualifies) or be 0.
+///
+/// # Panics
+/// Panics when `C(G, H)` does not fit in `u64` (at H = 5, past G = 18,580).
 #[must_use]
 pub fn best_combination_frontier<const H: usize>(
     tumor: &BitMatrix,
@@ -1173,7 +1185,7 @@ pub fn best_combination_frontier<const H: usize>(
     seed_floor: u64,
 ) -> (Scored<H>, ScanStats, Frontier<H>) {
     let k = cfg.frontier_k;
-    let all = 0..binomial(tumor.n_genes() as u64, H as u64);
+    let all = full_space::<H>(tumor.n_genes());
     let total = all.end;
     let (accs, stats) = scan_range(tumor, normal, tumor_mask, cfg, seed_floor, &[all], || {
         TopK::new(k)
@@ -1188,9 +1200,9 @@ pub fn best_combination_frontier<const H: usize>(
 /// first (empty when the slab holds no combination).
 ///
 /// The slab is its colex ranges ([`Scheme4::for_each_colex_range`]) of the
-/// matrices' rows in [`scan_range`]'s popcount order, walked by one dense
-/// pruned scanner into one top-K. Every rank holding these matrices derives
-/// the same order, so the slabs of a partition still tile `C(G,4)`; the
+/// matrices' rows in the popcount order [`discover`]'s scans use, walked
+/// by one dense pruned scanner into one top-K. Every rank holding these
+/// matrices derives the same order, so the slabs of a partition still tile `C(G,4)`; the
 /// result is [`crate::reduce::top_k`] over the slab's combinations, mapped
 /// back to gene ids. Every combination is either scored or counted in a
 /// pruned subtree, so `scored + pruned_combos` is the slab's scheduler area.
@@ -1414,6 +1426,26 @@ mod tests {
             }
         }
         (t, n)
+    }
+
+    /// Empty matrices one gene past the largest G whose 5-hit space fits
+    /// in `u64`: the refusal comes before any scan.
+    fn past_five_hit_limit() -> (BitMatrix, BitMatrix) {
+        (BitMatrix::zeros(18_581, 1), BitMatrix::zeros(18_581, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "G = 18581, H = 5")]
+    fn argmax_scan_refuses_a_space_past_u64() {
+        let (t, n) = past_five_hit_limit();
+        let _ = best_combination_stats::<5>(&t, &n, None, &GreedyConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "G = 18581, H = 5")]
+    fn frontier_scan_refuses_a_space_past_u64() {
+        let (t, n) = past_five_hit_limit();
+        let _ = best_combination_frontier::<5>(&t, &n, None, &GreedyConfig::default(), 0);
     }
 
     fn brute_best<const H: usize>(t: &BitMatrix, n: &BitMatrix, mask: Option<&[u64]>) -> Scored<H> {
@@ -2248,8 +2280,6 @@ mod tests {
                 scanner_builds: 18,
             }
         );
-        assert!((m.rows_per_sweep() - 16.0 / 14.0).abs() < 1e-12);
-        assert_eq!(ScanStats::default().rows_per_sweep(), 0.0);
     }
 
     /// `(scored, pruned_subtrees, pruned_combos)` of every pruned scan shape

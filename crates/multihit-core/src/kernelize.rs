@@ -130,7 +130,7 @@ impl ReductionCert {
     /// Panics if `g` is out of range for the reduced instance.
     #[inline]
     #[must_use]
-    pub fn unmap_gene(&self, g: u32) -> u32 {
+    fn unmap_gene(&self, g: u32) -> u32 {
         self.gene_map[g as usize]
     }
 

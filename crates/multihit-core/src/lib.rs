@@ -26,7 +26,7 @@
 //!   lazy-greedy (Minoux) skip of later full scans;
 //! * [`greedy`] — the full greedy discovery loop with an incremental
 //!   partial-AND scanner;
-//! * [`kernelize`] — exact instance reduction (dominated/useless genes,
+//! * [`kernelize`](mod@kernelize) — exact instance reduction (dominated/useless genes,
 //!   removable sample columns) with a certificate mapping reduced results
 //!   back to original indices;
 //! * [`obs`] — dependency-free observability: spans, points, a JSON-lines

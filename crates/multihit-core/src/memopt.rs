@@ -64,14 +64,6 @@ pub struct AccessStats {
     pub and_ops: u64,
 }
 
-impl AccessStats {
-    /// Total global words read.
-    #[must_use]
-    pub fn total_reads(&self) -> u64 {
-        self.inner_reads + self.prefetch_reads
-    }
-}
-
 /// Result of a full 3-hit scan: the best triple plus the traffic audit.
 #[derive(Clone, Copy, Debug)]
 pub struct ScanResult {
@@ -313,6 +305,7 @@ mod tests {
         assert_eq!(spliced.count_all(&full.best.genes), 0);
         // And the next scan reads fewer tumor words per combination.
         let next = scan_3hit(&spliced, &n, Alpha::PAPER, MemOptLevel::Prefetch2);
-        assert!(next.stats.total_reads() <= full.stats.total_reads());
+        let reads = |s: &AccessStats| s.inner_reads + s.prefetch_reads;
+        assert!(reads(&next.stats) <= reads(&full.stats));
     }
 }

@@ -297,7 +297,7 @@ pub fn json_object(pairs: &[(String, Value)]) -> String {
 /// bench gates) never sees NaN/∞.
 #[inline]
 #[must_use]
-pub fn finite_or_zero(v: f64) -> f64 {
+fn finite_or_zero(v: f64) -> f64 {
     if v.is_finite() {
         v
     } else {
@@ -308,7 +308,7 @@ pub fn finite_or_zero(v: f64) -> f64 {
 /// Parse a flat JSON object of scalar values (the only shape this stream —
 /// and the serving wire protocol — emits). Returns the key/value pairs in
 /// input order. JSON `null` parses as [`Value::F64`]`(NAN)`; consumers that
-/// report ratios must pass such fields through [`finite_or_zero`].
+/// report ratios must map such fields to 0 (`finite_or_zero`).
 ///
 /// # Errors
 /// Returns a description of the first syntax problem.
@@ -548,14 +548,16 @@ impl Obs {
     }
 
     /// Total of `field` over every recorded point named `point` (0 when
-    /// absent or disabled).
+    /// absent or disabled), saturating at `u64::MAX`.
     #[must_use]
     pub fn sum(&self, point: &str, field: &str) -> u64 {
         self.with_events(|events| {
             let points = events
                 .iter()
                 .filter(|e| e.kind == EventKind::Point && e.name == point);
-            points.filter_map(|e| e.u64(field)).sum()
+            points
+                .filter_map(|e| e.u64(field))
+                .fold(0, u64::saturating_add)
         })
     }
 
@@ -1047,27 +1049,42 @@ impl RunReport {
     }
 
     /// Total combinations the scans scored across greedy iterations (an
-    /// iteration the frontier answered scored none).
+    /// iteration the frontier answered scored none), saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn total_combos_scored(&self) -> u64 {
-        self.greedy_iters.iter().map(|i| i.scan_scored).sum()
+        self.greedy_iters
+            .iter()
+            .map(|i| i.scan_scored)
+            .fold(0, u64::saturating_add)
     }
 
-    /// Total combinations the F upper bound eliminated without scoring.
+    /// Total combinations the F upper bound eliminated without scoring,
+    /// saturating at `u64::MAX` (a long 5-hit run can enumerate more).
     #[must_use]
     pub fn total_pruned_combos(&self) -> u64 {
-        self.greedy_iters.iter().map(|i| i.pruned_combos).sum()
+        self.greedy_iters
+            .iter()
+            .map(|i| i.pruned_combos)
+            .fold(0, u64::saturating_add)
     }
 
     /// Fraction of the combinations the scans enumerated that the bound
     /// pruned, across the run (0.0 when no scan enumerated anything).
+    /// Summed in `f64`, so it stays in [0, 1] past `u64::MAX` combinations.
     #[must_use]
     pub fn pruned_fraction(&self) -> f64 {
-        let total = self.total_combos_scored() + self.total_pruned_combos();
-        if total == 0 {
+        let pruned: f64 = self
+            .greedy_iters
+            .iter()
+            .map(|i| i.pruned_combos as f64)
+            .sum();
+        let scored: f64 = self.greedy_iters.iter().map(|i| i.scan_scored as f64).sum();
+        let total = pruned + scored;
+        if total == 0.0 {
             0.0
         } else {
-            self.total_pruned_combos() as f64 / total as f64
+            pruned / total
         }
     }
 
@@ -1352,6 +1369,30 @@ mod tests {
         assert!((util - 0.75).abs() < 1e-12, "utilization {util}");
         assert_eq!(report.greedy_iters[1].block_sweeps, 20);
         assert_eq!(report.greedy_iters[1].swept_rows, 350);
+    }
+
+    #[test]
+    fn run_totals_saturate_instead_of_wrapping() {
+        // Two iterations of a 5-hit run at G = 12,000 can prune more than
+        // u64::MAX combinations between them.
+        let obs = Obs::enabled();
+        for iter in 0..2u64 {
+            obs.point(
+                "greedy_iter",
+                &[
+                    ("iter", Value::U64(iter)),
+                    ("scan_scored", Value::U64(7)),
+                    ("pruned_combos", Value::U64(u64::MAX / 2 + 1)),
+                ],
+            );
+        }
+        assert_eq!(obs.sum("greedy_iter", "pruned_combos"), u64::MAX);
+        let report = RunReport::from_events(&obs.events());
+        assert_eq!(report.total_pruned_combos(), u64::MAX);
+        assert_eq!(report.total_combos_scored(), 14);
+        let frac = report.pruned_fraction();
+        assert!(frac.is_finite() && (0.0..=1.0).contains(&frac), "{frac}");
+        assert!(frac > 0.999_999, "{frac}");
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct BlockQueue {
     total: u64,
     workers: u64,
     min_grain: u64,
-    blocks: AtomicU64,
 }
 
 impl BlockQueue {
@@ -62,7 +61,6 @@ impl BlockQueue {
             total,
             workers: workers.max(1) as u64,
             min_grain: min_grain.max(1),
-            blocks: AtomicU64::new(0),
         }
     }
 
@@ -84,16 +82,9 @@ impl BlockQueue {
                 .compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
             {
-                self.blocks.fetch_add(1, Ordering::Relaxed);
                 return Some((cur, end));
             }
         }
-    }
-
-    /// Blocks dispatched so far.
-    #[must_use]
-    pub fn blocks_dispatched(&self) -> u64 {
-        self.blocks.load(Ordering::Relaxed)
     }
 }
 
@@ -181,14 +172,16 @@ mod tests {
         let q = BlockQueue::with_grain(10_000, 4, 16);
         let mut seen = 0u64;
         let mut last_hi = 0u64;
+        let mut blocks = 0u64;
         while let Some((lo, hi)) = q.next() {
             assert!(lo < hi, "empty block");
             assert_eq!(lo, last_hi, "gap or overlap");
             seen += hi - lo;
             last_hi = hi;
+            blocks += 1;
         }
         assert_eq!(seen, 10_000);
-        assert!(q.blocks_dispatched() >= 2);
+        assert!(blocks >= 2);
     }
 
     #[test]

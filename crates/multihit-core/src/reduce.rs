@@ -19,9 +19,6 @@
 
 use crate::weight::Scored;
 
-/// The paper's CUDA block size for the `maxF` kernel.
-pub const PAPER_BLOCK_SIZE: usize = 512;
-
 /// Outcome of a staged reduction: the winner plus footprint accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReduceStats {

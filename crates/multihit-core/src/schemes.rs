@@ -1,5 +1,5 @@
 //! The paper's four parallelization schemes for the 4-hit nested loop
-//! (§III-A) plus the 3-hit analogues.
+//! (§III-A).
 //!
 //! A *scheme* `a×b` flattens the `a` outermost of the four loops into one
 //! linear thread index λ (via the maps in [`crate::combin`]) and leaves a
@@ -235,119 +235,6 @@ impl Scheme4 {
             f(open);
         }
     }
-
-    /// Total combinations over all threads — must equal `C(g, 4)` for every
-    /// scheme (the schemes repartition, never duplicate or drop, work).
-    #[must_use]
-    pub fn total_work(self, g: u32) -> u64 {
-        binomial(u64::from(g), 4)
-    }
-}
-
-/// A parallelization scheme for 3-hit enumeration (the prior single-GPU work
-/// in §II-C used `2x1`, Algorithm 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Scheme3 {
-    /// One thread per `i`; 2-deep inner loop.
-    OneXTwo,
-    /// One thread per `(i,j)`; single inner loop over `k` (Algorithm 1).
-    TwoXOne,
-    /// One thread per full triple.
-    ThreeXZero,
-}
-
-impl Scheme3 {
-    /// All 3-hit schemes.
-    pub const ALL: [Scheme3; 3] = [Scheme3::OneXTwo, Scheme3::TwoXOne, Scheme3::ThreeXZero];
-
-    /// Scheme name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme3::OneXTwo => "1x2",
-            Scheme3::TwoXOne => "2x1",
-            Scheme3::ThreeXZero => "3x0",
-        }
-    }
-
-    /// Threads launched for `g` genes.
-    #[must_use]
-    pub fn thread_count(self, g: u32) -> u64 {
-        let g = u64::from(g);
-        match self {
-            Scheme3::OneXTwo => g,
-            Scheme3::TwoXOne => binomial(g, 2),
-            Scheme3::ThreeXZero => binomial(g, 3),
-        }
-    }
-
-    /// 3-hit combinations evaluated by thread λ.
-    #[must_use]
-    pub fn workload(self, lambda: u64, g: u32) -> u64 {
-        match self {
-            Scheme3::OneXTwo => tri(u64::from(g) - 1 - lambda),
-            Scheme3::TwoXOne => {
-                let (_i, j) = unrank_pair(lambda);
-                u64::from(g - 1 - j)
-            }
-            Scheme3::ThreeXZero => 1,
-        }
-    }
-
-    /// Visit every triple assigned to thread λ.
-    pub fn for_each_combo<F: FnMut([u32; 3])>(self, lambda: u64, g: u32, mut f: F) {
-        match self {
-            Scheme3::OneXTwo => {
-                let i = lambda as u32;
-                for j in i + 1..g {
-                    for k in j + 1..g {
-                        f([i, j, k]);
-                    }
-                }
-            }
-            Scheme3::TwoXOne => {
-                let (i, j) = unrank_pair(lambda);
-                for k in j + 1..g {
-                    f([i, j, k]);
-                }
-            }
-            Scheme3::ThreeXZero => {
-                let (i, j, k) = unrank_triple(lambda);
-                if k < g {
-                    f([i, j, k]);
-                }
-            }
-        }
-    }
-
-    /// Thread λ's triples grouped by fixed pair prefix with the streamed
-    /// last-coordinate range — the 3-hit analogue of
-    /// [`Scheme4::for_each_prefix`].
-    pub fn for_each_prefix<F: FnMut([u32; 2], std::ops::Range<u32>)>(
-        self,
-        lambda: u64,
-        g: u32,
-        mut f: F,
-    ) {
-        match self {
-            Scheme3::OneXTwo => {
-                let i = lambda as u32;
-                for j in i + 1..g {
-                    f([i, j], j + 1..g);
-                }
-            }
-            Scheme3::TwoXOne => {
-                let (i, j) = unrank_pair(lambda);
-                f([i, j], j + 1..g);
-            }
-            Scheme3::ThreeXZero => {
-                let (i, j, k) = unrank_triple(lambda);
-                if k < g {
-                    f([i, j], k..k + 1);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,29 +265,12 @@ mod tests {
             for l in 0..scheme.thread_count(g) {
                 scheme.for_each_combo(l, g, |c| seen.push(c));
             }
-            assert_eq!(seen.len() as u64, scheme.total_work(g), "{}", scheme.name());
-            let set: HashSet<_> = seen.into_iter().collect();
-            assert_eq!(set, expect, "scheme {} mis-covers", scheme.name());
-        }
-    }
-
-    #[test]
-    fn every_scheme3_covers_every_triple_exactly_once() {
-        let g = 13;
-        let mut expect = HashSet::new();
-        for i in 0..g {
-            for j in i + 1..g {
-                for k in j + 1..g {
-                    expect.insert([i, j, k]);
-                }
-            }
-        }
-        for scheme in Scheme3::ALL {
-            let mut seen = Vec::new();
-            for l in 0..scheme.thread_count(g) {
-                scheme.for_each_combo(l, g, |c| seen.push(c));
-            }
-            assert_eq!(seen.len(), expect.len(), "{}", scheme.name());
+            assert_eq!(
+                seen.len() as u64,
+                binomial(u64::from(g), 4),
+                "{}",
+                scheme.name()
+            );
             let set: HashSet<_> = seen.into_iter().collect();
             assert_eq!(set, expect, "scheme {} mis-covers", scheme.name());
         }
@@ -410,13 +280,6 @@ mod tests {
     fn workload_matches_actual_combo_count() {
         let g = 12;
         for scheme in Scheme4::ALL {
-            for l in 0..scheme.thread_count(g) {
-                let mut n = 0u64;
-                scheme.for_each_combo(l, g, |_| n += 1);
-                assert_eq!(n, scheme.workload(l, g), "scheme {} λ={l}", scheme.name());
-            }
-        }
-        for scheme in Scheme3::ALL {
             for l in 0..scheme.thread_count(g) {
                 let mut n = 0u64;
                 scheme.for_each_combo(l, g, |_| n += 1);
@@ -436,20 +299,6 @@ mod tests {
                 scheme.for_each_prefix(l, g, |p, range| {
                     for last in range {
                         grouped.push([p[0], p[1], p[2], last]);
-                    }
-                });
-                assert_eq!(grouped, stepped, "scheme {} λ={l}", scheme.name());
-            }
-        }
-        let g = 13;
-        for scheme in Scheme3::ALL {
-            for l in 0..scheme.thread_count(g) {
-                let mut stepped = Vec::new();
-                scheme.for_each_combo(l, g, |c| stepped.push(c));
-                let mut grouped = Vec::new();
-                scheme.for_each_prefix(l, g, |p, range| {
-                    for last in range {
-                        grouped.push([p[0], p[1], last]);
                     }
                 });
                 assert_eq!(grouped, stepped, "scheme {} λ={l}", scheme.name());

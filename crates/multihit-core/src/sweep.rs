@@ -13,7 +13,7 @@
 //! computation into the paper's sub-minute `O(G)` scheduler (§III-C).
 
 use crate::combin::{tet, tri};
-use crate::schemes::{Scheme3, Scheme4};
+use crate::schemes::Scheme4;
 
 /// A maximal run of consecutive threads with identical workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +37,7 @@ impl Level {
     /// One-past-the-end thread id.
     #[inline]
     #[must_use]
-    pub fn lambda_end(&self) -> u64 {
+    fn lambda_end(&self) -> u64 {
         self.lambda_start + self.n_threads
     }
 }
@@ -75,33 +75,6 @@ pub fn levels_scheme4(scheme: Scheme4, g: u32) -> Vec<Level> {
         Scheme4::FourXOne => vec![Level {
             lambda_start: 0,
             n_threads: crate::combin::binomial(gu, 4),
-            work_per_thread: 1,
-        }],
-    }
-}
-
-/// The workload levels of a 3-hit scheme, in ascending λ order.
-#[must_use]
-pub fn levels_scheme3(scheme: Scheme3, g: u32) -> Vec<Level> {
-    let gu = u64::from(g);
-    match scheme {
-        Scheme3::OneXTwo => (0..gu)
-            .map(|i| Level {
-                lambda_start: i,
-                n_threads: 1,
-                work_per_thread: tri(gu - 1 - i),
-            })
-            .collect(),
-        Scheme3::TwoXOne => (1..gu)
-            .map(|j| Level {
-                lambda_start: tri(j),
-                n_threads: j,
-                work_per_thread: gu - 1 - j,
-            })
-            .collect(),
-        Scheme3::ThreeXZero => vec![Level {
-            lambda_start: 0,
-            n_threads: tet(gu),
             work_per_thread: 1,
         }],
     }
@@ -168,18 +141,6 @@ mod tests {
                 }
             }
         }
-        for scheme in Scheme3::ALL {
-            for l in levels_scheme3(scheme, g) {
-                for lambda in [l.lambda_start, l.lambda_end() - 1] {
-                    assert_eq!(
-                        scheme.workload(lambda, g),
-                        l.work_per_thread,
-                        "{} λ={lambda}",
-                        scheme.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -189,14 +150,6 @@ mod tests {
             assert_eq!(
                 total_area(&levels_scheme4(scheme, g)),
                 binomial(u64::from(g), 4),
-                "{}",
-                scheme.name()
-            );
-        }
-        for scheme in Scheme3::ALL {
-            assert_eq!(
-                total_area(&levels_scheme3(scheme, g)),
-                binomial(u64::from(g), 3),
                 "{}",
                 scheme.name()
             );

@@ -27,7 +27,7 @@ pub struct MafRecord {
 
 /// Variant classes counted as protein-altering by the summarizer; `Silent`
 /// and intronic classes are ignored, mirroring standard driver analyses.
-pub const PROTEIN_ALTERING: [&str; 7] = [
+const PROTEIN_ALTERING: [&str; 7] = [
     "Missense_Mutation",
     "Nonsense_Mutation",
     "Frame_Shift_Del",

@@ -47,12 +47,6 @@ pub struct MutationCohort {
 }
 
 impl MutationCohort {
-    /// Row index of a site, if present.
-    #[must_use]
-    pub fn row_of(&self, site: MutationSite) -> Option<usize> {
-        self.sites.binary_search(&site).ok()
-    }
-
     /// Expansion factor over the gene universe (paper: mutation matrices
     /// are ~20× larger than gene matrices).
     #[must_use]
@@ -279,7 +273,7 @@ mod tests {
         let c = base_cohort();
         let mc = expand(&c, &ExpansionSpec::default());
         for d in &mc.driver_sites {
-            let row = mc.row_of(*d).expect("driver site present");
+            let row = mc.sites.binary_search(d).expect("driver site present");
             // Fully penetrant drivers with 0.9 hotspot concentration: the
             // hotspot row covers most of its combo's tumor share.
             assert!(
@@ -297,7 +291,7 @@ mod tests {
         assert!(frac < 0.5, "kept {frac}");
         assert_eq!(filtered.driver_sites.len(), mc.driver_sites.len());
         for d in &filtered.driver_sites {
-            assert!(filtered.row_of(*d).is_some());
+            assert!(filtered.sites.binary_search(d).is_ok());
         }
     }
 

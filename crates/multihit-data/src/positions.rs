@@ -115,7 +115,7 @@ fn peak_fraction(xs: &[u32]) -> f64 {
 /// Generate a position profile: `n_tumor_mut` tumor and `n_normal_mut`
 /// normal mutation events under the given model. Deterministic in the seed.
 #[must_use]
-pub fn generate_profile(
+fn generate_profile(
     gene: &str,
     length: u32,
     model: PositionModel,

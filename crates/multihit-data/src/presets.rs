@@ -106,7 +106,7 @@ impl CancerType {
 
     /// Estimated hits required for carcinogenesis per the paper's ref. 3.
     #[must_use]
-    pub fn estimated_hits(self) -> u32 {
+    fn estimated_hits(self) -> u32 {
         match self {
             CancerType::Brca => 3, // estimated two–three hits
             CancerType::Lgg => 3,

@@ -102,14 +102,14 @@ impl LruCache {
 }
 
 /// Replay the 3-hit kernel's row-access trace (2x1 scheme, all threads)
-/// through a cache of `capacity_rows`, at the given optimization level.
+/// through a cache of `capacity` rows, at the given optimization level.
 ///
 /// Row ids: tumor row `g` = `g`, normal row `g` = `G + g`. Prefetched rows
 /// live in thread-local memory and do not touch the cache inside the inner
 /// loop — exactly the traffic the audit counts.
 #[must_use]
-pub fn simulate_3hit(g: u32, level: MemOptLevel, capacity_rows: usize) -> CacheStats {
-    let mut cache = LruCache::new(capacity_rows);
+pub fn simulate_3hit(g: u32, level: MemOptLevel, capacity: usize) -> CacheStats {
+    let mut cache = LruCache::new(capacity);
     let gu = u64::from(g);
     for lambda in 0..tri(gu) {
         let (i, j) = multihit_core::combin::unrank_pair_fast(lambda);
@@ -149,13 +149,6 @@ pub fn simulate_3hit(g: u32, level: MemOptLevel, capacity_rows: usize) -> CacheS
         }
     }
     cache.stats()
-}
-
-/// The two cache regimes the module contrasts, in row-capacity units for a
-/// given row footprint.
-#[must_use]
-pub fn capacity_rows(cache_bytes: u64, row_bytes: u64) -> usize {
-    usize::try_from(cache_bytes / row_bytes.max(1)).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -253,11 +246,5 @@ mod tests {
         assert!((0.7..1.5).contains(&miss_ratio), "miss ratio {miss_ratio}");
         let access_ratio = s0.accesses as f64 / s2.accesses as f64;
         assert!(access_ratio > 2.5, "access ratio {access_ratio}");
-    }
-
-    #[test]
-    fn capacity_helper() {
-        assert_eq!(capacity_rows(6 << 20, 160), 39321);
-        assert_eq!(capacity_rows(100, 0), 100);
     }
 }

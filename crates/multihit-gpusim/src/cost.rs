@@ -26,7 +26,7 @@ use crate::profile::WorkProfile;
 
 /// Streaming-efficiency knee: inner loops of length `T` reach
 /// `T/(T + STREAM_KNEE)` of streaming bandwidth.
-pub const STREAM_KNEE: f64 = 4.0;
+const STREAM_KNEE: f64 = 4.0;
 
 /// Modeled execution of one kernel launch on one GPU.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -71,14 +71,8 @@ impl GpuCost {
 
     /// All cycles the launch occupies.
     #[must_use]
-    pub fn total_cycles(&self) -> f64 {
+    fn total_cycles(&self) -> f64 {
         self.compute_cycles.max(self.memory_cycles) + self.setup_cycles
-    }
-
-    /// Is the launch memory-bound (memory pipe is the critical path)?
-    #[must_use]
-    pub fn memory_bound(&self) -> bool {
-        self.memory_cycles > self.compute_cycles
     }
 }
 
@@ -120,14 +114,14 @@ impl CostModel {
     /// Latency-hiding factor from occupancy: `occ / (occ + knee)`, scaled so
     /// that full occupancy reaches 1.
     #[must_use]
-    pub fn latency_hiding(&self, occupancy: f64) -> f64 {
+    fn latency_hiding(&self, occupancy: f64) -> f64 {
         let k = self.spec.occupancy_knee;
         (occupancy / (occupancy + k)) * (1.0 + k)
     }
 
     /// Streaming factor from mean inner-loop length.
     #[must_use]
-    pub fn stream_factor(&self, mean_inner: f64) -> f64 {
+    fn stream_factor(&self, mean_inner: f64) -> f64 {
         if mean_inner <= 0.0 {
             1.0 / (1.0 + STREAM_KNEE)
         } else {
@@ -229,7 +223,10 @@ mod tests {
         let g = 2000;
         let n = Scheme4::ThreeXOne.thread_count(g);
         let c = m.evaluate(&profile_range4(Scheme4::ThreeXOne, g, 20, 0, n));
-        assert!(c.memory_bound());
+        assert!(
+            c.memory_cycles > c.compute_cycles,
+            "memory pipe is the critical path"
+        );
         assert!(c.issue_efficiency() < 0.5);
     }
 

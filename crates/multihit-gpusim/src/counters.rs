@@ -77,7 +77,7 @@ pub fn record_run_metrics(obs: &Obs, metrics: &[GpuRunMetrics]) {
 /// `a` yields factors in `[1−a, 1+a]`. This is what puts the paper's Fig 6
 /// spikes (GPU #372, #504, #560) into an otherwise smooth model.
 #[must_use]
-pub fn jitter_factors(n: usize, amplitude: f64, seed: u64) -> Vec<f64> {
+fn jitter_factors(n: usize, amplitude: f64, seed: u64) -> Vec<f64> {
     assert!(
         (0.0..1.0).contains(&amplitude),
         "amplitude must be in [0,1)"

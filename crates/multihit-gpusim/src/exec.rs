@@ -1,7 +1,7 @@
 //! Functional execution of the `maxF` / `parallelReduceMax` kernel pair on a
 //! simulated GPU.
 //!
-//! [`run_maxf4`] / [`run_maxf3`] execute a contiguous λ-range of the chosen
+//! [`run_maxf4`] executes a contiguous λ-range of the chosen 4-hit
 //! scheme *literally*: each simulated thread prefetches the rows of its
 //! fixed tuple coordinates (the MemOpt path), folds their AND once into a
 //! reusable per-rank scratch, block-sweeps the streamed last coordinate
@@ -24,7 +24,7 @@ use crate::profile::WorkProfile;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::kernel;
 use multihit_core::reduce::{gpu_reduce, ReduceStats};
-use multihit_core::schemes::{Scheme3, Scheme4};
+use multihit_core::schemes::Scheme4;
 use multihit_core::weight::{Alpha, Scored};
 
 /// Outcome of executing one λ-range on one simulated GPU.
@@ -179,64 +179,6 @@ pub fn run_maxf4(
     }
 }
 
-/// Execute the 3-hit `maxF` kernel over threads `[lo, hi)` of `scheme`.
-#[must_use]
-pub fn run_maxf3(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    alpha: Alpha,
-    scheme: Scheme3,
-    lo: u64,
-    hi: u64,
-    block_size: usize,
-) -> ExecOutcome<3> {
-    assert_eq!(tumor.n_genes(), normal.n_genes());
-    let g = tumor.n_genes() as u32;
-    let wt = tumor.words_per_row();
-    let wn = normal.words_per_row();
-    let w = (wt + wn) as u64;
-    let n_norm = normal.n_samples() as u32;
-
-    let mut profile = WorkProfile::default();
-    let mut block_sweeps = 0u64;
-    let mut scratch = FoldScratch::new(wt, wn);
-    let per_thread: Vec<Scored<3>> = (lo..hi)
-        .map(|lambda| {
-            let mut best = Scored::NEG_INFINITY;
-            let mut inner = 0u64;
-            scheme.for_each_prefix(lambda, g, |fx, range| {
-                scratch.rebuild(tumor, normal, &fx);
-                block_sweeps +=
-                    sweep_last_coord(tumor, normal, &scratch, range, n_norm, |last, tp, tn| {
-                        inner += 1;
-                        best = best.max_det(Scored {
-                            score: alpha.score(tp, tn),
-                            tp,
-                            tn,
-                            genes: [fx[0], fx[1], last],
-                        });
-                    });
-            });
-            profile.n_threads += 1;
-            profile.combos += inner;
-            profile.inner_words += inner * w;
-            profile.prefetch_words += 2 * w;
-            profile.ops += inner * 2 * w;
-            let t = crate::profile::inner_len3(scheme, lambda, g);
-            profile.inv_inner_sum += 1.0 / (t as f64 + 1.0);
-            best
-        })
-        .collect();
-
-    let (best, reduce) = gpu_reduce(&per_thread, block_size);
-    ExecOutcome {
-        best,
-        profile,
-        reduce,
-        block_sweeps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,26 +225,6 @@ mod tests {
             assert_eq!(out.best, expect, "{}", scheme.name());
             assert_eq!(out.profile.combos, binomial(12, 4));
         }
-    }
-
-    #[test]
-    fn three_hit_kernel_matches_reference() {
-        let (t, n) = lcg_matrices(13, 70, 50, 9);
-        let cfg = GreedyConfig {
-            parallel: false,
-            ..GreedyConfig::default()
-        };
-        let expect = best_combination::<3>(&t, &n, None, &cfg);
-        let out = run_maxf3(
-            &t,
-            &n,
-            Alpha::PAPER,
-            Scheme3::TwoXOne,
-            0,
-            binomial(13, 2),
-            512,
-        );
-        assert_eq!(out.best, expect);
     }
 
     #[test]

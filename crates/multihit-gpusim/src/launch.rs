@@ -38,7 +38,7 @@ impl LaunchConfig {
 
     /// Plan with an explicit block size.
     #[must_use]
-    pub fn plan_with_block(spec: &GpuSpec, threads: u64, block_size: u32) -> Self {
+    fn plan_with_block(spec: &GpuSpec, threads: u64, block_size: u32) -> Self {
         assert!(block_size > 0, "block size must be positive");
         let grid_blocks = threads.div_ceil(u64::from(block_size));
         let blocks_per_sm = (spec.max_threads_per_sm / block_size).max(1);
@@ -59,12 +59,6 @@ impl LaunchConfig {
     pub fn occupancy(&self) -> f64 {
         let resident_threads = u64::from(self.resident_blocks) * u64::from(self.block_size);
         (self.threads as f64 / resident_threads as f64).min(1.0)
-    }
-
-    /// Warps per block.
-    #[must_use]
-    pub fn warps_per_block(&self, spec: &GpuSpec) -> u32 {
-        self.block_size.div_ceil(spec.warp_size)
     }
 
     /// The per-block records the `maxF` kernel writes (one per block,
@@ -88,7 +82,6 @@ mod tests {
         assert_eq!(lc.grid_blocks, 1954);
         assert_eq!(lc.resident_blocks, 80 * 4);
         assert_eq!(lc.waves, 7); // ceil(1954 / 320)
-        assert_eq!(lc.warps_per_block(&spec), 16);
         assert!((lc.occupancy() - 1.0).abs() < 1e-12);
     }
 
@@ -120,7 +113,6 @@ mod tests {
         let spec = GpuSpec::v100_summit();
         let lc = LaunchConfig::plan_with_block(&spec, 1000, 33);
         assert_eq!(lc.grid_blocks, 31);
-        assert_eq!(lc.warps_per_block(&spec), 2);
         // Residency floors at one block per SM even for giant blocks.
         let big = LaunchConfig::plan_with_block(&spec, 1 << 20, 4096);
         assert_eq!(big.resident_blocks, 80);

@@ -20,7 +20,7 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod exec;
-pub mod launch;
+mod launch;
 pub mod profile;
 
 pub use cost::{CostModel, GpuCost, StallBreakdown};

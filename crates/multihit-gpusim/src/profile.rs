@@ -18,7 +18,7 @@
 //! * `1x3` / `4x1`: analogous with one less / one more prefetched level.
 
 use multihit_core::combin::{binomial, tet, tri};
-use multihit_core::schemes::{Scheme3, Scheme4};
+use multihit_core::schemes::Scheme4;
 
 /// One discrete workload level of a kernel launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,36 +128,6 @@ pub fn kernel_levels4(scheme: Scheme4, g: u32) -> Vec<KernelLevel> {
     }
 }
 
-/// The kernel levels of a 3-hit scheme (ascending λ).
-#[must_use]
-pub fn kernel_levels3(scheme: Scheme3, g: u32) -> Vec<KernelLevel> {
-    let gu = u64::from(g);
-    match scheme {
-        Scheme3::OneXTwo => (0..gu)
-            .map(|i| KernelLevel {
-                lambda_start: i,
-                n_threads: 1,
-                inner_len: gu - 1 - i,
-                combos_per_thread: tri(gu - 1 - i),
-            })
-            .collect(),
-        Scheme3::TwoXOne => (1..gu)
-            .map(|j| KernelLevel {
-                lambda_start: tri(j),
-                n_threads: j,
-                inner_len: gu - 1 - j,
-                combos_per_thread: gu - 1 - j,
-            })
-            .collect(),
-        Scheme3::ThreeXZero => vec![KernelLevel {
-            lambda_start: 0,
-            n_threads: tet(gu),
-            inner_len: 1,
-            combos_per_thread: 1,
-        }],
-    }
-}
-
 /// Prefetched rows per thread for a scheme (the fixed tuple coordinates).
 #[must_use]
 pub fn prefetch_depth4(scheme: Scheme4) -> u64 {
@@ -176,7 +146,7 @@ pub fn prefetch_depth4(scheme: Scheme4) -> u64 {
 /// inner loop (`2x2`, `1x3`) the per-`k` row reads are accounted as
 /// `inner_len` extra words per thread (`2x2`) per the kernel structure.
 #[must_use]
-pub fn profile_levels(
+fn profile_levels(
     levels: &[KernelLevel],
     lo: u64,
     hi: u64,
@@ -284,20 +254,6 @@ pub fn profile_partitions(
     out
 }
 
-/// Inner-loop trip count of thread λ under a 3-hit scheme.
-#[must_use]
-pub fn inner_len3(scheme: Scheme3, lambda: u64, g: u32) -> u64 {
-    let gu = u64::from(g);
-    match scheme {
-        Scheme3::OneXTwo => gu - 1 - lambda,
-        Scheme3::TwoXOne => {
-            let (_i, j) = multihit_core::combin::unrank_pair_fast(lambda);
-            gu - 1 - u64::from(j)
-        }
-        Scheme3::ThreeXZero => 1,
-    }
-}
-
 /// Convenience: profile a λ-range of a 4-hit scheme directly.
 #[must_use]
 pub fn profile_range4(scheme: Scheme4, g: u32, w: u64, lo: u64, hi: u64) -> WorkProfile {
@@ -327,13 +283,6 @@ mod tests {
                 assert_eq!(a.lambda_start, b.lambda_start);
                 assert_eq!(a.n_threads, b.n_threads);
                 assert_eq!(a.combos_per_thread, b.work_per_thread);
-            }
-        }
-        for scheme in Scheme3::ALL {
-            let mine = kernel_levels3(scheme, g);
-            let sweeps = multihit_core::sweep::levels_scheme3(scheme, g);
-            for (a, b) in mine.iter().zip(&sweeps) {
-                assert_eq!(a.combos_per_thread, b.work_per_thread, "{}", scheme.name());
             }
         }
     }

@@ -58,9 +58,9 @@ pub const MAGIC: u8 = 0xB7;
 /// Binary protocol version this build speaks.
 pub const VERSION: u8 = 0x02;
 /// Payload kind: classification request.
-pub const KIND_REQUEST: u8 = 0x01;
+const KIND_REQUEST: u8 = 0x01;
 /// Payload kind: classification response.
-pub const KIND_RESPONSE: u8 = 0x02;
+const KIND_RESPONSE: u8 = 0x02;
 /// Payload kind: registry publish (control plane).
 pub const KIND_PUBLISH: u8 = 0x03;
 /// Frames larger than this are rejected as corrupt, not buffered.

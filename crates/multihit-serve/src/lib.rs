@@ -12,11 +12,11 @@
 //!   [`protocol::Response`], sharing the observability stream's codec.
 //! * [`frame`] — the length-prefixed binary wire protocol: packed
 //!   bit-signatures travel verbatim and decode straight into batch slots.
-//! * [`poll`] — readiness poller (raw epoll on Linux) behind the reactor.
+//! * `poll` — readiness poller (raw epoll on Linux) behind the reactor.
 //! * [`queue`] — hand-built bounded MPMC [`queue::BoundedQueue`] with
 //!   explicit `QueueFull` rejection (backpressure by shedding, never by
 //!   unbounded buffering).
-//! * [`admission`] — per-tenant fair-share token accounting in front of
+//! * `admission` — per-tenant fair-share token accounting in front of
 //!   the queues: an overloaded tenant is shed at its budget while every
 //!   other tenant keeps its full goodput.
 //! * [`publish`] — the discover→serve control plane: ship a results
@@ -32,12 +32,12 @@
 //! * [`loadgen`] — load generator checking the CI gate's
 //!   lost/divergent/shed invariants, in-process and over TCP.
 
-pub mod admission;
+mod admission;
 pub mod cache;
 pub mod frame;
 mod latency;
 pub mod loadgen;
-pub mod poll;
+mod poll;
 pub mod protocol;
 pub mod publish;
 pub mod queue;

@@ -8,7 +8,7 @@
 //!   [`InProcClient::classify_packed_window`]: the serving hot path with
 //!   no socket.
 //! * **TCP JSON** / **TCP binary** — a single-threaded non-blocking
-//!   client engine (the same [`crate::poll`] reactor the server uses)
+//!   client engine (the same `poll` reactor the server uses)
 //!   drives a ring of `connections` sockets, rotating request issue
 //!   across the ring under a global `inflight` budget. The budget is what
 //!   bounds client-observed latency at high connection counts (Little's
@@ -380,7 +380,7 @@ impl LoadgenOutcome {
 
     /// Total hot swaps published across phases.
     #[must_use]
-    pub fn swap_count(&self) -> u64 {
+    fn swap_count(&self) -> u64 {
         self.phases().map(|p| p.swaps).sum()
     }
 }

@@ -12,16 +12,17 @@
 //! * [`Poller`] — register/modify/deregister interest on raw fds, and
 //!   [`Poller::wait`] for readiness events carrying a caller-chosen `u64`
 //!   token.
-//! * [`Waker`] — an `eventfd` pre-registered under [`WAKE_TOKEN`]; any
-//!   thread (a scoring worker finishing a response, [`Poller`]'s owner
-//!   being told to stop) can [`Waker::wake`] the reactor out of `wait`.
+//! * `Waker` (from [`Poller::waker`]) — an `eventfd` pre-registered under
+//!   [`WAKE_TOKEN`]; any thread (a scoring worker finishing a response,
+//!   [`Poller`]'s owner being told to stop) can `wake` the reactor out of
+//!   `wait`.
 //!
 //! On non-Linux unix the same API degrades to a short-sleep loop that
 //! reports every registered fd ready each tick — spuriously ready is safe
 //! (all I/O is non-blocking and EAGAIN-tolerant), just slower. Linux is
 //! the platform the bench numbers are measured on.
 
-/// Token the reactor's [`Waker`] fires under; never assign it to a socket.
+/// Token the reactor's `Waker` fires under; never assign it to a socket.
 pub const WAKE_TOKEN: u64 = u64::MAX;
 
 /// One readiness event out of [`Poller::wait`].
@@ -327,7 +328,7 @@ mod sys {
     }
 }
 
-pub use sys::{Poller, Waker};
+pub use sys::Poller;
 
 #[cfg(test)]
 mod tests {

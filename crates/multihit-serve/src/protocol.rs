@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `tenant` names the admission-control account a request bills against
-//! (see [`crate::admission`]); it is optional and defaults to tenant 0,
+//! (see [`crate::Admission`]); it is optional and defaults to tenant 0,
 //! so single-tenant clients and pre-tenant captures keep parsing. Every
 //! response echoes a nonzero tenant back, which is how the load generator
 //! proves sheds are attributed to the tenant that overran its budget.

@@ -10,7 +10,7 @@
 //! generation atomically or is rejected with the first compile error and
 //! the live generation keeps serving.
 //!
-//! The ack is an ordinary [`Response`] frame correlated by request id:
+//! The ack is an ordinary [`crate::Response`] frame correlated by request id:
 //! status `Ok` with `version` set to the freshly published generation,
 //! or status `Error` carrying the rejection message. In-flight requests
 //! against the old generation keep resolving (the registry keeps one
@@ -45,7 +45,7 @@ pub fn publish_to(addr: &str, files: &[ResultsFile]) -> Result<u64, String> {
 ///
 /// # Errors
 /// See [`publish_to`].
-pub fn publish_texts_to(addr: &str, texts: &[String]) -> Result<u64, String> {
+fn publish_texts_to(addr: &str, texts: &[String]) -> Result<u64, String> {
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("publish: connect {addr}: {e}"))?;
     stream

@@ -53,7 +53,7 @@ impl Panel {
     ///
     /// # Errors
     /// Rejects results with no combinations (nothing to serve).
-    pub fn from_results(results: &ResultsFile) -> Result<Panel, String> {
+    fn from_results(results: &ResultsFile) -> Result<Panel, String> {
         if results.rows.is_empty() {
             return Err(format!("panel {:?} has no combinations", results.cohort));
         }

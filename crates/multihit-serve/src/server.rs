@@ -3,7 +3,7 @@
 //! Request flow:
 //!
 //! ```text
-//! submit ── registry.load() (epoch-cached) ── signature pack ── shard hash
+//! admit ─── registry.load() (epoch-cached) ── signature pack ── shard hash
 //!     │                                                          │
 //!     ▼                                                          ▼ try_push
 //! worker (one per shard): pop_batch(B) → per-(version, panel)
@@ -53,7 +53,7 @@ pub struct ServeConfig {
     /// that emulates heavier models so backpressure paths can be exercised
     /// deterministically. 0 (the default) for real serving.
     pub score_delay_ns: u64,
-    /// Per-tenant fair-share admission control (see [`crate::admission`]).
+    /// Per-tenant fair-share admission control (see [`crate::Admission`]).
     /// `total_rps == 0` (the default) disables it: no lock, no accounting
     /// on the single-tenant hot path.
     pub admission: AdmissionConfig,
@@ -226,19 +226,11 @@ impl Server {
 
     /// Total queue-full rejections across shards (for asserting that every
     /// queue shed corresponds to an actually-full queue). Shutdown-race
-    /// rejections are counted separately by
-    /// [`Self::queue_rejected_closed`] so they can never satisfy the
+    /// rejections are counted separately, so they can never satisfy the
     /// overload-shedding proof.
     #[must_use]
     pub fn queue_rejected_full(&self) -> u64 {
         self.queues.iter().map(|q| q.rejected_full()).sum()
-    }
-
-    /// Total rejections of pushes that arrived after shutdown closed the
-    /// queues.
-    #[must_use]
-    pub fn queue_rejected_closed(&self) -> u64 {
-        self.queues.iter().map(|q| q.rejected_closed()).sum()
     }
 
     /// Requests shed by per-tenant admission control (before any queue).
@@ -250,7 +242,7 @@ impl Server {
     /// Per-tenant admission totals, in tenant order; empty when admission
     /// control is disabled.
     #[must_use]
-    pub fn tenant_counters(&self) -> Vec<(u32, crate::admission::TenantCounters)> {
+    fn tenant_counters(&self) -> Vec<(u32, crate::admission::TenantCounters)> {
         self.admission
             .as_ref()
             .map(Admission::snapshot)
@@ -281,17 +273,6 @@ impl Server {
         self.stats
             .reactor_busy_ns
             .fetch_add(busy_ns, Ordering::Relaxed);
-    }
-
-    /// Admit one request. The response — ok, shed, or error — arrives on
-    /// the returned channel exactly once. Resolution goes through a
-    /// cold-path registry snapshot; hot paths keep a [`RegistryReader`]
-    /// and use [`Self::submit_resolved`].
-    pub fn submit(&self, req: &Request) -> mpsc::Receiver<Response> {
-        let (tx, rx) = mpsc::channel();
-        let generation = self.shared.load();
-        self.admit_named(req, &generation, Reply::Chan(tx));
-        rx
     }
 
     /// Admit one named-gene request against `generation`, replying into
@@ -777,7 +758,7 @@ mod tests {
 
     #[test]
     fn event_stream_does_not_grow_with_traffic() {
-        // Nothing between submit and reply records an event: a run a
+        // Nothing between admission and reply records an event: a run a
         // hundred times longer leaves exactly as many behind.
         let events_after = |requests: usize| {
             let (server, obs) = small_server(ServeConfig::default());
@@ -886,7 +867,8 @@ mod tests {
         // Every shed corresponds to a queue-full rejection — the
         // closed-queue counter must stay untouched by overload shedding.
         assert_eq!(server.queue_rejected_full(), shed);
-        assert_eq!(server.queue_rejected_closed(), 0);
+        let rejected_closed: u64 = server.queues.iter().map(|q| q.rejected_closed()).sum();
+        assert_eq!(rejected_closed, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! TCP front end: a readiness-driven event loop serving both wire
 //! protocols.
 //!
-//! The transport is a small reactor (see [`crate::poll`]) instead of a
+//! The transport is a small epoll reactor instead of a
 //! thread per connection: each reactor thread owns a level-triggered
 //! poller, per-connection read/write buffers, and a thousand-plus
 //! non-blocking sockets. Workers deliver responses by locking the
