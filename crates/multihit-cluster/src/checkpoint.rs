@@ -6,30 +6,27 @@
 //! the combinations already chosen and the covered-tumor mask (the spliced
 //! matrix is reconstructed from the original input plus the mask, so the
 //! checkpoint stays tiny — tens of bytes per iteration, not gigabytes of
-//! matrix).
+//! matrix). The functional cluster driver writes them and resumes from
+//! them ([`crate::driver::distributed_discover4_checkpointed`]).
 //!
 //! The format is a versioned, line-oriented text file: portable, diffable,
-//! and parsable without extra dependencies. Version 2 appends a CRC-32
-//! trailer over the whole body, so torn writes and silent media corruption
-//! are detected at resume instead of resuming from garbage; version 1 files
-//! (no trailer) still parse. [`CheckpointStore`] adds the durable on-disk
-//! protocol: write-to-temp + rename atomicity, a `.bak` of the previous
-//! good checkpoint, and automatic fallback to it when the primary file is
-//! corrupt.
+//! and parsable without extra dependencies. A CRC-32 trailer covers the
+//! whole body, so torn writes and silent media corruption are detected at
+//! resume instead of resuming from garbage. [`CheckpointStore`] adds the
+//! durable on-disk protocol: write-to-temp + rename atomicity, a `.bak` of
+//! the previous good checkpoint, and automatic fallback to it when the
+//! primary file is corrupt.
 
 use crate::fault::{crc32, CheckpointFault, FaultState};
 use multihit_core::bitmat::BitMatrix;
-use multihit_core::greedy::{best_combination, GreedyConfig};
 use multihit_core::obs::Obs;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Resumable state of a 4-hit discovery run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version.
-    pub version: u32,
     /// Gene universe size (validated on resume).
     pub n_genes: usize,
     /// Original tumor sample count (validated on resume).
@@ -40,15 +37,15 @@ pub struct Checkpoint {
     pub uncovered_mask: Vec<u64>,
 }
 
-/// Current format version (2 = CRC-32 trailer; 1 = legacy, no trailer).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// The format version: 2 added the CRC-32 trailer, and files without one
+/// are rejected.
+const CHECKPOINT_VERSION: u32 = 2;
 
 impl Checkpoint {
     /// A fresh checkpoint for an input cohort (nothing chosen yet).
     #[must_use]
     pub fn fresh(tumor: &BitMatrix) -> Self {
         Checkpoint {
-            version: CHECKPOINT_VERSION,
             n_genes: tumor.n_genes(),
             n_tumor: tumor.n_samples(),
             chosen: Vec::new(),
@@ -62,29 +59,26 @@ impl Checkpoint {
         BitMatrix::mask_popcount(&self.uncovered_mask)
     }
 
-    /// Serialize to the text format. Version ≥ 2 appends a `crc` trailer
-    /// line: CRC-32 over every byte before it.
+    /// Serialize to the text format, ending in a `crc` trailer line: CRC-32
+    /// over every byte before it.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "multihit-checkpoint\tv{}", self.version);
+        let _ = writeln!(out, "multihit-checkpoint\tv{CHECKPOINT_VERSION}");
         let _ = writeln!(out, "genes\t{}", self.n_genes);
         let _ = writeln!(out, "tumors\t{}", self.n_tumor);
         let _ = writeln!(out, "mask\t{}", hex_words(&self.uncovered_mask));
         for c in &self.chosen {
             let _ = writeln!(out, "combo\t{}\t{}\t{}\t{}", c[0], c[1], c[2], c[3]);
         }
-        if self.version >= 2 {
-            let _ = writeln!(out, "crc\t{:08x}", crc32(out.as_bytes()));
-        }
+        let _ = writeln!(out, "crc\t{:08x}", crc32(out.as_bytes()));
         out
     }
 
-    /// Parse the text format. Version 2 requires (and verifies) the CRC
-    /// trailer; version 1 has none. Rejects duplicate header records,
-    /// out-of-range gene ids, and a mask whose length disagrees with the
-    /// tumor count — corruption that slips past the CRC (or a legacy v1
-    /// file) must not resume into a silently wrong run.
+    /// Parse the text format, verifying the CRC trailer. Also rejects
+    /// duplicate header records, out-of-range gene ids, and a mask whose
+    /// length disagrees with the tumor count — corruption that slips past
+    /// the CRC must not resume into a silently wrong run.
     ///
     /// # Errors
     /// Returns a message naming the offending line.
@@ -101,19 +95,17 @@ impl Checkpoint {
             .strip_prefix("multihit-checkpoint\tv")
             .and_then(|v| v.parse().ok())
             .ok_or("bad checkpoint header")?;
-        if !(1..=CHECKPOINT_VERSION).contains(&version) {
+        if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        if version >= 2 {
-            let hex = crc_hex.ok_or("missing crc trailer")?;
-            let stated =
-                u32::from_str_radix(hex, 16).map_err(|_| format!("bad crc trailer {hex:?}"))?;
-            let actual = crc32(body.as_bytes());
-            if stated != actual {
-                return Err(format!(
-                    "crc mismatch: file says {stated:08x}, content is {actual:08x}"
-                ));
-            }
+        let hex = crc_hex.ok_or("missing crc trailer")?;
+        let stated =
+            u32::from_str_radix(hex, 16).map_err(|_| format!("bad crc trailer {hex:?}"))?;
+        let actual = crc32(body.as_bytes());
+        if stated != actual {
+            return Err(format!(
+                "crc mismatch: file says {stated:08x}, content is {actual:08x}"
+            ));
         }
         let mut n_genes: Option<usize> = None;
         let mut n_tumor: Option<usize> = None;
@@ -123,25 +115,17 @@ impl Checkpoint {
             let err = |what: &str| format!("line {}: {what}", idx + 2);
             let mut f = line.split('\t');
             match f.next() {
-                Some("genes") => {
-                    if n_genes.is_some() {
-                        return Err(err("duplicate genes record"));
+                Some(key @ ("genes" | "tumors")) => {
+                    let slot = if key == "genes" {
+                        &mut n_genes
+                    } else {
+                        &mut n_tumor
+                    };
+                    if slot.is_some() {
+                        return Err(err(&format!("duplicate {key} record")));
                     }
-                    n_genes = Some(
-                        f.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad genes"))?,
-                    );
-                }
-                Some("tumors") => {
-                    if n_tumor.is_some() {
-                        return Err(err("duplicate tumors record"));
-                    }
-                    n_tumor = Some(
-                        f.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad tumors"))?,
-                    );
+                    let value = f.next().and_then(|v| v.parse().ok());
+                    *slot = Some(value.ok_or_else(|| err(&format!("bad {key}")))?);
                 }
                 Some("mask") => {
                     if uncovered_mask.is_some() {
@@ -182,7 +166,6 @@ impl Checkpoint {
             }
         }
         Ok(Checkpoint {
-            version,
             n_genes,
             n_tumor,
             chosen,
@@ -235,12 +218,6 @@ impl CheckpointStore {
             path: path.into(),
             obs: obs.clone(),
         }
-    }
-
-    /// Primary checkpoint path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn sibling(&self, ext: &str) -> PathBuf {
@@ -334,94 +311,13 @@ fn parse_hex_words(s: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-/// Run (or resume) 4-hit greedy discovery, checkpointing after every
-/// iteration via `save`. `budget_iterations` bounds the work done in this
-/// call (the "allocation"); the returned checkpoint resumes seamlessly.
-///
-/// Uses the masked-exclusion path so the checkpoint's original-indexing
-/// mask applies directly.
-///
-/// # Panics
-/// Panics if the checkpoint fails validation against the input.
-pub fn run_with_checkpoints<F: FnMut(&Checkpoint)>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    cfg: &GreedyConfig,
-    ckpt: Checkpoint,
-    budget_iterations: usize,
-    save: F,
-) -> Checkpoint {
-    run_with_checkpoints_obs(
-        tumor,
-        normal,
-        cfg,
-        ckpt,
-        budget_iterations,
-        save,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_with_checkpoints`] with observability: one `checkpoint` point per
-/// iteration recording the scan wall time and — the quantity a production
-/// run budgets against its allocation — the `save_ns` the checkpoint write
-/// callback took.
-///
-/// # Panics
-/// Panics if the checkpoint fails validation against the input.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_checkpoints_obs<F: FnMut(&Checkpoint)>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    cfg: &GreedyConfig,
-    mut ckpt: Checkpoint,
-    budget_iterations: usize,
-    mut save: F,
-    obs: &Obs,
-) -> Checkpoint {
-    ckpt.validate(tumor)
-        .expect("checkpoint does not match input");
-    let _run_span = obs.span("checkpointed_run");
-    for _ in 0..budget_iterations {
-        if ckpt.remaining() == 0 {
-            break;
-        }
-        if cfg.max_combinations != 0 && ckpt.chosen.len() >= cfg.max_combinations {
-            break;
-        }
-        let scan_start = std::time::Instant::now();
-        let best = best_combination::<4>(tumor, normal, Some(&ckpt.uncovered_mask), cfg);
-        let scan_ns = u64::try_from(scan_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if best.tp == 0 {
-            break;
-        }
-        let cov = tumor.cover_mask(&best.genes);
-        for (m, c) in ckpt.uncovered_mask.iter_mut().zip(cov.iter()) {
-            *m &= !c;
-        }
-        ckpt.chosen.push(best.genes);
-        let save_start = std::time::Instant::now();
-        save(&ckpt);
-        let save_ns = u64::try_from(save_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if obs.is_enabled() {
-            obs.point(
-                "checkpoint",
-                &[
-                    ("iter", (ckpt.chosen.len() - 1).into()),
-                    ("scan_ns", scan_ns.into()),
-                    ("save_ns", save_ns.into()),
-                    ("remaining", u64::from(ckpt.remaining()).into()),
-                ],
-            );
-        }
-    }
-    ckpt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multihit_core::greedy::{discover, Exclusion};
+    use crate::driver::{distributed_discover4_checkpointed, distributed_discover4_ft};
+    use crate::driver::{DistributedConfig, FtDistResult};
+    use crate::fault::{FaultPlan, FaultState, FtParams};
+    use crate::topology::ClusterShape;
     use multihit_core::obs::RunReport;
 
     fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
@@ -457,13 +353,19 @@ mod tests {
         assert_eq!(back, c);
     }
 
+    /// `body` with a valid CRC trailer, so only its content can be the
+    /// reason a parse rejects it.
+    fn with_crc(body: &str) -> String {
+        format!("{body}crc\t{:08x}\n", crc32(body.as_bytes()))
+    }
+
     #[test]
     fn parse_rejects_garbage() {
         assert!(Checkpoint::from_text("").is_err());
-        assert!(Checkpoint::from_text("multihit-checkpoint\tv9\n").is_err());
-        assert!(Checkpoint::from_text("multihit-checkpoint\tv1\nbogus\t3\n").is_err());
-        let missing_mask = "multihit-checkpoint\tv1\ngenes\t5\ntumors\t10\n";
-        assert!(Checkpoint::from_text(missing_mask)
+        assert!(Checkpoint::from_text(&with_crc("multihit-checkpoint\tv9\n")).is_err());
+        assert!(Checkpoint::from_text(&with_crc("multihit-checkpoint\tv2\nbogus\t3\n")).is_err());
+        let missing_mask = with_crc("multihit-checkpoint\tv2\ngenes\t5\ntumors\t10\n");
+        assert!(Checkpoint::from_text(&missing_mask)
             .unwrap_err()
             .contains("mask"));
     }
@@ -529,8 +431,7 @@ mod tests {
                 .map(|l| format!("{l}\n"))
                 .collect();
             body.push_str(record);
-            let with_crc = format!("{body}crc\t{:08x}\n", crc32(body.as_bytes()));
-            let err = Checkpoint::from_text(&with_crc).unwrap_err();
+            let err = Checkpoint::from_text(&with_crc(&body)).unwrap_err();
             assert!(err.contains("duplicate"), "{record:?}: {err}");
         }
     }
@@ -554,13 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_legacy_v1_without_crc() {
-        let (t, _) = lcg_matrices(10, 70, 10, 2);
-        let mut c = Checkpoint::fresh(&t);
-        c.version = 1;
-        let text = c.to_text();
-        assert!(!text.contains("crc"), "v1 must not carry a trailer");
-        assert_eq!(Checkpoint::from_text(&text).unwrap(), c);
+    fn parse_rejects_legacy_v1_without_crc() {
+        // Nothing writes v1, and a file without a trailer cannot show that
+        // it is whole.
+        let text = sample_text();
+        let body = &text[..text.rfind("crc\t").unwrap()];
+        let err = Checkpoint::from_text(body).unwrap_err();
+        assert!(err.contains("missing crc"), "{err}");
+        let v1 = body.replace("\tv2\n", "\tv1\n");
+        let err = Checkpoint::from_text(&v1).unwrap_err();
+        assert!(err.contains("version 1"), "{err}");
     }
 
     fn temp_store_path(tag: &str) -> std::path::PathBuf {
@@ -571,7 +475,6 @@ mod tests {
 
     #[test]
     fn store_round_trips_atomically() {
-        use crate::fault::{FaultPlan, FaultState};
         let path = temp_store_path("roundtrip");
         let obs = Obs::disabled();
         let store = CheckpointStore::new(&path, &obs);
@@ -583,13 +486,12 @@ mod tests {
         let st = FaultState::new(FaultPlan::none(), &obs);
         store.save(&c, Some(&st)).unwrap();
         assert_eq!(store.load().unwrap(), c);
-        assert!(!store.path().with_extension("ckpt.tmp").exists());
+        assert!(!path.with_extension("ckpt.tmp").exists());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn store_falls_back_to_backup_on_corruption() {
-        use crate::fault::{FaultPlan, FaultState};
         for (tag, spec) in [("trunc", "ckpt-truncate=1"), ("flip", "ckpt-bitflip=1")] {
             let path = temp_store_path(tag);
             let obs = Obs::enabled();
@@ -621,7 +523,6 @@ mod tests {
         // Each damaged save is individually survived via the `.bak` as long
         // as a good save lands in between (the rotation keeps exactly one
         // generation of history).
-        use crate::fault::{FaultPlan, FaultState};
         let path = temp_store_path("compound");
         let obs = Obs::enabled();
         let store = CheckpointStore::new(&path, &obs);
@@ -651,7 +552,6 @@ mod tests {
         // The protocol keeps one generation of history: two damaged saves
         // in a row leave both the primary and the `.bak` corrupt, and load
         // must report that — never resume from garbage.
-        use crate::fault::{FaultPlan, FaultState};
         let path = temp_store_path("double");
         let obs = Obs::disabled();
         let store = CheckpointStore::new(&path, &obs);
@@ -677,22 +577,15 @@ mod tests {
 
     #[test]
     fn restore_across_a_membership_epoch_change() {
-        // Satellite (c): a checkpoint written BEFORE a membership epoch
-        // change resumes to the same answer the churned cluster produced.
-        // The checkpoint format is roster-free by design (combinations +
-        // uncovered mask), so a resume never depends on which ranks were
-        // alive when it was written.
-        use crate::driver::{distributed_discover4_ft, DistributedConfig};
-        use crate::fault::{FaultPlan, FaultState, FtParams};
-        use crate::topology::ClusterShape;
+        // A checkpoint written BEFORE a membership epoch change resumes to
+        // the same answer the churned cluster produced. The checkpoint
+        // format is roster-free by design (combinations + uncovered mask),
+        // so a resume never depends on which ranks were alive when it was
+        // written.
         let (t, n) = lcg_matrices(11, 90, 60, 13);
         let cfg = DistributedConfig {
-            shape: ClusterShape {
-                nodes: 4,
-                gpus_per_node: 2,
-            },
             max_combinations: 3,
-            ..DistributedConfig::default()
+            ..cluster(4, false)
         };
         // Churned run: rank 2 dies at iteration 0, a replacement joins at
         // the iteration-1 barrier — one membership epoch.
@@ -721,77 +614,173 @@ mod tests {
             *m &= !c;
         }
         ck.chosen.push(first);
-        // Persist + reload through the store (process restart), then resume.
+        // Persist + reload through the store (process restart), then let
+        // the fault-free driver resume from it.
         let path = temp_store_path("epoch");
         let store = CheckpointStore::new(&path, &Obs::disabled());
         store.save(&ck, None).unwrap();
         let resumed = store.load().unwrap();
-        let done = run_with_checkpoints(
-            &t,
-            &n,
-            &GreedyConfig {
-                exclusion: Exclusion::Mask,
-                parallel: false,
-                max_combinations: cfg.max_combinations,
-                ..GreedyConfig::default()
+        let done = resume(&t, &n, &cfg, None, &store, resumed).unwrap();
+        assert_eq!(done.result.combinations, ft.result.combinations);
+        assert_eq!(done.result.uncovered, ft.result.uncovered);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// `nodes` ranks of two GPUs each, run to full cover.
+    fn cluster(nodes: usize, kernelize: bool) -> DistributedConfig {
+        DistributedConfig {
+            shape: ClusterShape {
+                nodes,
+                gpus_per_node: 2,
             },
-            resumed,
-            usize::MAX,
-            |_| {},
-        );
-        assert_eq!(done.chosen, ft.result.combinations);
-        assert_eq!(done.remaining(), ft.result.uncovered);
+            kernelize,
+            ..DistributedConfig::default()
+        }
+    }
+
+    fn resume(
+        t: &BitMatrix,
+        n: &BitMatrix,
+        cfg: &DistributedConfig,
+        faults: Option<&FaultState>,
+        store: &CheckpointStore,
+        ckpt: Checkpoint,
+    ) -> Result<FtDistResult, String> {
+        let obs = Obs::disabled();
+        distributed_discover4_checkpointed(
+            t,
+            n,
+            cfg,
+            faults,
+            FtParams::fast_test(),
+            &obs,
+            store,
+            ckpt,
+        )
+    }
+
+    #[test]
+    fn resume_after_k_picks_equals_uninterrupted_run() {
+        // A cohort with a zero tumor row and a duplicated one, so that
+        // kernelization removes genes.
+        let (mut t, n) = lcg_matrices(13, 90, 60, 29);
+        for s in 0..90 {
+            t.set(11, s, false);
+            t.set(12, s, t.get(0, s));
+        }
+        let k = 2;
+        for nodes in [1, 4] {
+            for kernelize in [false, true] {
+                for bitflip in [false, true] {
+                    let ctx = format!("{nodes} ranks, kernelize {kernelize}, bitflip {bitflip}");
+                    let cfg = cluster(nodes, kernelize);
+                    let whole = distributed_discover4_ft(
+                        &t,
+                        &n,
+                        &cfg,
+                        None,
+                        FtParams::fast_test(),
+                        &Obs::disabled(),
+                    )
+                    .result;
+                    assert!(whole.combinations.len() > k + 1, "{ctx}: fixture too easy");
+
+                    // The first allocation stops after k picks: saves 0..=k,
+                    // and `ckpt-bitflip=k` damages the last one.
+                    let path = temp_store_path(&format!("resume-{nodes}-{kernelize}-{bitflip}"));
+                    let obs = Obs::enabled();
+                    let store = CheckpointStore::new(&path, &obs);
+                    let plan = if bitflip {
+                        format!("ckpt-bitflip={k}")
+                    } else {
+                        String::new()
+                    };
+                    let faults = FaultState::new(FaultPlan::parse(&plan, 9).unwrap(), &obs);
+                    let capped = DistributedConfig {
+                        max_combinations: k,
+                        ..cfg
+                    };
+                    let first = distributed_discover4_checkpointed(
+                        &t,
+                        &n,
+                        &capped,
+                        Some(&faults),
+                        FtParams::fast_test(),
+                        &obs,
+                        &store,
+                        Checkpoint::fresh(&t),
+                    )
+                    .unwrap();
+                    assert_eq!(first.result.combinations, whole.combinations[..k], "{ctx}");
+                    let saves: Vec<_> = obs
+                        .events()
+                        .iter()
+                        .filter(|e| e.name == "checkpoint")
+                        .map(|e| e.u64("iter").unwrap())
+                        .collect();
+                    assert_eq!(saves, (0..=k as u64).collect::<Vec<_>>(), "{ctx}");
+
+                    // The next allocation loads what the first one saved:
+                    // the damaged save falls back to `.bak`, one pick short.
+                    let loaded = store.load().unwrap();
+                    let redo = usize::from(bitflip);
+                    assert_eq!(loaded.chosen.len(), k - redo, "{ctx}");
+                    let report = RunReport::from_events(&obs.events());
+                    assert_eq!(report.ckpt_fallbacks(), redo as u64, "{ctx}");
+                    let done = resume(&t, &n, &cfg, None, &store, loaded).unwrap();
+                    assert_eq!(done.result.combinations, whole.combinations, "{ctx}");
+                    assert_eq!(done.result.uncovered, whole.uncovered, "{ctx}");
+                    let tail = &whole.iterations[k - redo..];
+                    assert_eq!(done.result.iterations.len(), tail.len(), "{ctx}");
+                    for (a, b) in done.result.iterations.iter().zip(tail) {
+                        assert_eq!((a.best, a.remaining), (b.best, b.remaining), "{ctx}");
+                    }
+                    // The resumed run's own last save holds the whole panel.
+                    assert_eq!(store.load().unwrap().chosen, whole.combinations, "{ctx}");
+                    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_stops_at_once_when_the_cap_is_reached() {
+        let (t, n) = lcg_matrices(11, 90, 60, 13);
+        let path = temp_store_path("capped");
+        let store = CheckpointStore::new(&path, &Obs::disabled());
+        let mut ck = Checkpoint::fresh(&t);
+        ck.chosen.push([0, 1, 2, 3]);
+        let cfg = DistributedConfig {
+            max_combinations: 1,
+            ..cluster(2, false)
+        };
+        let done = resume(&t, &n, &cfg, None, &store, ck.clone()).unwrap();
+        assert_eq!(done.result.combinations, ck.chosen);
+        assert_eq!(done.result.uncovered, ck.remaining());
+        assert!(done.result.iterations.is_empty());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
-    fn resumed_run_equals_uninterrupted_run() {
-        let (t, n) = lcg_matrices(10, 120, 60, 42);
-        let cfg = GreedyConfig {
-            exclusion: Exclusion::Mask,
-            parallel: false,
-            ..GreedyConfig::default()
-        };
-        // Uninterrupted reference.
-        let reference = discover::<4>(&t, &n, &cfg);
-        // Interrupted: budget 2 iterations per "allocation", serialize the
-        // checkpoint across allocations through text.
-        let mut ckpt = Checkpoint::fresh(&t);
-        loop {
-            let before = ckpt.chosen.len();
-            ckpt = run_with_checkpoints(&t, &n, &cfg, ckpt, 2, |_| {});
-            // Simulate writing to disk and restarting the process.
-            ckpt = Checkpoint::from_text(&ckpt.to_text()).unwrap();
-            if ckpt.chosen.len() == before {
-                break;
-            }
+    fn resume_rejects_another_cohorts_checkpoint() {
+        let (t, n) = lcg_matrices(9, 80, 40, 7);
+        let path = temp_store_path("cohort");
+        let store = CheckpointStore::new(&path, &Obs::disabled());
+        for (g, nt) in [(11, 80), (9, 81)] {
+            let (other, _) = lcg_matrices(g, nt, 40, 8);
+            let err = resume(
+                &t,
+                &n,
+                &cluster(2, false),
+                None,
+                &store,
+                Checkpoint::fresh(&other),
+            )
+            .unwrap_err();
+            assert!(err.contains("checkpoint has"), "{err}");
         }
-        assert_eq!(ckpt.chosen, reference.combinations);
-        assert_eq!(ckpt.remaining(), reference.uncovered);
-    }
-
-    #[test]
-    fn save_hook_fires_every_iteration() {
-        let (t, n) = lcg_matrices(9, 80, 40, 7);
-        let cfg = GreedyConfig {
-            parallel: false,
-            ..GreedyConfig::default()
-        };
-        let mut saves = 0;
-        let ckpt = run_with_checkpoints(&t, &n, &cfg, Checkpoint::fresh(&t), 3, |c| {
-            saves += 1;
-            assert_eq!(c.chosen.len(), saves);
-        });
-        assert_eq!(saves, ckpt.chosen.len().min(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match input")]
-    fn validation_catches_wrong_cohort() {
-        let (t, n) = lcg_matrices(9, 80, 40, 7);
-        let (other, _) = lcg_matrices(11, 80, 40, 8);
-        let cfg = GreedyConfig::default();
-        let _ = run_with_checkpoints(&t, &n, &cfg, Checkpoint::fresh(&other), 1, |_| {});
+        assert!(!path.exists(), "nothing is saved for a foreign cohort");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl RankCtx {
     /// # Errors
     /// [`CommError::Timeout`] if the wait expired, [`CommError::Disconnected`]
     /// once every peer hung up with the queue drained.
-    pub fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(usize, Vec<u8>), CommError> {
+    fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(usize, Vec<u8>), CommError> {
         match timeout {
             None => self.receiver.recv().map_err(|_| CommError::Disconnected),
             Some(t) => self.receiver.recv_timeout(t).map_err(|e| match e {

@@ -9,6 +9,8 @@
 //!   frontier hit, reduce, winner broadcast → splice → record) over the
 //!   fault-tolerant collectives of [`FtCtx`], and a fault-free run
 //!   ([`distributed_discover4`]) is that machine with an empty fault plan.
+//!   [`distributed_discover4_checkpointed`] starts it from a checkpoint and
+//!   saves one after every pick.
 //!   Produces exactly the combinations the single-process reference
 //!   produces (tested), at any cluster shape, whoever dies or joins.
 //! * [`model_run`] — **modeled**: the same schedule and communication
@@ -17,6 +19,7 @@
 //!   would take 6000 GPU-days. This is what regenerates the paper's scaling
 //!   figures.
 
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::comm::{run_ranks, BcastMsg, CommModel, FtCtx, FtStats};
 use crate::fault::{FaultState, FtParams};
 use crate::sched::{rebalance_join, schedule_ea_fast, schedule_ed, validate_cover, Partition};
@@ -476,20 +479,15 @@ pub fn distributed_discover4(
     normal: &BitMatrix,
     cfg: &DistributedConfig,
 ) -> DistResult {
-    distributed_discover4_obs(tumor, normal, cfg, &Obs::disabled())
-}
-
-/// [`distributed_discover4`] with the metrics stream
-/// [`distributed_discover4_ft`] describes. The discovered combinations are
-/// identical to the uninstrumented run by construction.
-#[must_use]
-pub fn distributed_discover4_obs(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    cfg: &DistributedConfig,
-    obs: &Obs,
-) -> DistResult {
-    distributed_discover4_ft(tumor, normal, cfg, None, FtParams::default(), obs).result
+    distributed_discover4_ft(
+        tumor,
+        normal,
+        cfg,
+        None,
+        FtParams::default(),
+        &Obs::disabled(),
+    )
+    .result
 }
 
 /// The functional distributed driver: 4-hit greedy discovery across
@@ -538,25 +536,132 @@ pub fn distributed_discover4_ft(
     params: FtParams,
     obs: &Obs,
 ) -> FtDistResult {
+    drive(tumor, normal, cfg, faults, params, obs, None)
+}
+
+/// [`distributed_discover4_ft`] started from `ckpt`, saving through `store`
+/// as it goes: the §IV-A checkpoint/restart path, where a run that outlives
+/// its allocation resumes in the next one.
+///
+/// `ckpt` is saved once before the first iteration and again after every
+/// pick, each save a `checkpoint` point (`iter` = picks saved, `save_ns`,
+/// `remaining`); `faults` may damage any of them. Start from
+/// [`Checkpoint::fresh`] for a new run, or from [`CheckpointStore::load`]
+/// to resume. The run continues on the tumor matrix spliced by
+/// `uncovered_mask` (kernelized when `cfg.kernelize` is set), with the cap
+/// lowered by the picks already made, and the result's combinations are
+/// the checkpoint's, old picks first. That is exact: splicing by the
+/// cumulative mask gives the matrix that splicing pick by pick gives, and
+/// kernelization is exact on any instance. The frontier is not saved, so
+/// the first iteration after a resume is a full scan, and `iterations`
+/// (like the `iter` of the metric points) covers only the resumed part.
+///
+/// # Errors
+/// Returns a message if `ckpt` belongs to another cohort or a save fails.
+///
+/// # Panics
+/// As [`distributed_discover4_ft`].
+#[allow(clippy::too_many_arguments)]
+pub fn distributed_discover4_checkpointed(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+    faults: Option<&FaultState>,
+    params: FtParams,
+    obs: &Obs,
+    store: &CheckpointStore,
+    mut ckpt: Checkpoint,
+) -> Result<FtDistResult, String> {
+    ckpt.validate(tumor)?;
+    let save = |ck: &Checkpoint| -> Result<(), String> {
+        let start = Instant::now();
+        store
+            .save(ck, faults)
+            .map_err(|e| format!("checkpoint save: {e}"))?;
+        obs.point(
+            "checkpoint",
+            &[
+                ("iter", ck.chosen.len().into()),
+                ("save_ns", elapsed_ns(start).into()),
+                ("remaining", u64::from(ck.remaining()).into()),
+            ],
+        );
+        Ok(())
+    };
+    save(&ckpt)?;
+    let done = ckpt.chosen.len();
+    let mut saved = Ok(());
+    let mut r = if cfg.max_combinations != 0 && done >= cfg.max_combinations {
+        no_picks(ckpt.remaining())
+    } else {
+        let residual = tumor.splice_columns(&ckpt.uncovered_mask);
+        let rest = DistributedConfig {
+            max_combinations: cfg.max_combinations.saturating_sub(done),
+            ..*cfg
+        };
+        let mut on_pick = |genes: [u32; 4]| {
+            for (m, c) in ckpt.uncovered_mask.iter_mut().zip(tumor.cover_mask(&genes)) {
+                *m &= !c;
+            }
+            ckpt.chosen.push(genes);
+            if saved.is_ok() {
+                saved = save(&ckpt);
+            }
+        };
+        drive(
+            &residual,
+            normal,
+            &rest,
+            faults,
+            params,
+            obs,
+            Some(&mut on_pick),
+        )
+    };
+    saved?;
+    // Every pick went through `on_pick`, so the checkpoint holds the panel.
+    r.result.combinations = ckpt.chosen;
+    Ok(r)
+}
+
+/// A run that picked nothing, with `uncovered` tumor samples left.
+fn no_picks(uncovered: u32) -> FtDistResult {
+    FtDistResult {
+        result: DistResult {
+            combinations: Vec::new(),
+            iterations: Vec::new(),
+            uncovered,
+        },
+        recovery: RecoveryStats::default(),
+    }
+}
+
+/// The driver loop behind both entry points. `on_pick` sees each accepted
+/// combination, in `tumor`'s gene ids, as soon as every rank has it.
+fn drive(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+    faults: Option<&FaultState>,
+    params: FtParams,
+    obs: &Obs,
+    mut on_pick: Option<&mut dyn FnMut([u32; 4])>,
+) -> FtDistResult {
     if cfg.kernelize {
         let (red_t, red_n, cert) = kernelize_broadcast(tumor, normal, cfg, obs);
         if cert.kept_genes() < 4 {
             // Every original combination contains a removed gene, so the
             // unkernelized run stalls on iteration 1 with an empty panel.
-            return FtDistResult {
-                result: DistResult {
-                    combinations: Vec::new(),
-                    iterations: Vec::new(),
-                    uncovered: tumor.n_samples() as u32,
-                },
-                recovery: RecoveryStats::default(),
-            };
+            return no_picks(tumor.n_samples() as u32);
         }
         let inner = DistributedConfig {
             kernelize: false,
             ..*cfg
         };
-        let mut r = distributed_discover4_ft(&red_t, &red_n, &inner, faults, params, obs);
+        let cert_ref = &cert;
+        let mut unmapped = on_pick.map(|f| move |c| f(cert_ref.unmap_combo(c)));
+        let hook = unmapped.as_mut().map(|f| f as &mut dyn FnMut([u32; 4]));
+        let mut r = drive(&red_t, &red_n, &inner, faults, params, obs, hook);
         r.result = unmap_dist_result(r.result, &cert, cfg.alpha);
         return r;
     }
@@ -867,6 +972,9 @@ pub fn distributed_discover4_ft(
                     ("frontier_rescored", frontier_rescored.into()),
                 ],
             );
+        }
+        if let Some(f) = on_pick.as_mut() {
+            f(best.genes);
         }
     }
 
@@ -1483,7 +1591,8 @@ mod tests {
                 },
             );
             let obs = Obs::enabled();
-            let lazy = distributed_discover4_obs(&t, &n, &base, &obs);
+            let lazy =
+                distributed_discover4_ft(&t, &n, &base, None, FtParams::default(), &obs).result;
             assert_eq!(lazy.combinations, full.combinations, "{nodes} nodes");
             assert_eq!(lazy.uncovered, full.uncovered, "{nodes} nodes");
             for (a, b) in lazy.iterations.iter().zip(&full.iterations) {

@@ -2,7 +2,7 @@
 //! over random workload structures, collective correctness over random rank
 //! counts, checkpoint format round-trips, and modeled-run sanity.
 
-use multihit_cluster::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+use multihit_cluster::checkpoint::Checkpoint;
 use multihit_cluster::comm::run_ranks;
 use multihit_cluster::sched::{partition_areas, schedule_ea_fast, schedule_ea_naive, schedule_ed};
 use multihit_cluster::sched_weighted::{schedule_ea_weighted, CostWeights};
@@ -140,7 +140,6 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
             0..12,
         );
         (mask, combos).prop_map(move |(uncovered_mask, chosen)| Checkpoint {
-            version: CHECKPOINT_VERSION,
             n_genes,
             n_tumor,
             chosen,
@@ -296,7 +295,8 @@ proptest! {
         gpus in 1usize..=2,
         density in 2u64..5,
     ) {
-        use multihit_cluster::driver::{distributed_discover4_obs, DistributedConfig};
+        use multihit_cluster::driver::{distributed_discover4_ft, DistributedConfig};
+        use multihit_cluster::fault::FtParams;
         use multihit_cluster::topology::ClusterShape;
         use multihit_core::greedy::{discover_obs, Exclusion, GreedyConfig};
         use multihit_core::obs::{EventKind, Obs};
@@ -325,7 +325,7 @@ proptest! {
                 &single,
             );
             let dist_obs = Obs::enabled();
-            let dist = distributed_discover4_obs(
+            let dist = distributed_discover4_ft(
                 &t,
                 &n,
                 &DistributedConfig {
@@ -334,8 +334,11 @@ proptest! {
                     max_combinations: 3,
                     ..DistributedConfig::default()
                 },
+                None,
+                FtParams::default(),
                 &dist_obs,
-            );
+            )
+            .result;
             prop_assert!(dist.combinations == reference.combinations, "diverged at k {k}");
             let (dist_hits, single_hits) = (hits(&dist_obs, "dist_iter"), hits(&single, "greedy_iter"));
             prop_assert!(
@@ -356,7 +359,8 @@ proptest! {
         seed in 0u64..10_000,
         density in 2u64..5,
     ) {
-        use multihit_cluster::driver::{distributed_discover4_obs, DistributedConfig};
+        use multihit_cluster::driver::{distributed_discover4_ft, DistributedConfig};
+        use multihit_cluster::fault::FtParams;
         use multihit_cluster::topology::ClusterShape;
         use multihit_core::greedy::{discover_obs, Exclusion, GreedyConfig};
         use multihit_core::obs::{EventKind, Obs};
@@ -384,7 +388,7 @@ proptest! {
                 &single,
             );
             let dist_obs = Obs::enabled();
-            let dist = distributed_discover4_obs(
+            let dist = distributed_discover4_ft(
                 &t,
                 &n,
                 &DistributedConfig {
@@ -392,8 +396,11 @@ proptest! {
                     frontier_k: k,
                     ..DistributedConfig::default()
                 },
+                None,
+                FtParams::default(),
                 &dist_obs,
-            );
+            )
+            .result;
             prop_assert!(dist.combinations == reference.combinations, "diverged at k {k}");
             let ranks = scored(&dist_obs, "rank_exec", "scored");
             let scans = scored(&single, "greedy_iter", "scan_scored");

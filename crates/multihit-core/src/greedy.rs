@@ -32,7 +32,7 @@
 //!   subtree tying the floor is cut only when every member is provably
 //!   colex-later than the floor's holder, so the argmax is bit-identical to
 //!   the un-pruned scan by construction; the test suite asserts it.
-//! * **Work stealing** ([`best_combination`]): an atomic λ-cursor
+//! * **Work stealing** ([`best_combination_stats`]): an atomic λ-cursor
 //!   ([`crate::par::BlockQueue`]) hands out guided-size blocks so
 //!   pruning- and splice-induced imbalance cannot stall workers on static
 //!   chunks; per-worker winners fold with the deterministic
@@ -931,20 +931,6 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
     }
 }
 
-/// Find the argmax-F combination over all `C(G,H)` candidates.
-///
-/// Thin wrapper over [`best_combination_stats`] for callers that do not need
-/// the scan accounting.
-#[must_use]
-pub fn best_combination<const H: usize>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    tumor_mask: Option<&[u64]>,
-    cfg: &GreedyConfig,
-) -> Scored<H> {
-    best_combination_stats(tumor, normal, tumor_mask, cfg).0
-}
-
 /// The colex ranks `0..C(G, H)` a full scan of `g` genes walks.
 ///
 /// # Panics
@@ -1478,15 +1464,15 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert_eq!(
-            best_combination::<2>(&t, &n, None, &cfg),
+            best_combination_stats::<2>(&t, &n, None, &cfg).0,
             brute_best::<2>(&t, &n, None)
         );
         assert_eq!(
-            best_combination::<3>(&t, &n, None, &cfg),
+            best_combination_stats::<3>(&t, &n, None, &cfg).0,
             brute_best::<3>(&t, &n, None)
         );
         assert_eq!(
-            best_combination::<4>(&t, &n, None, &cfg),
+            best_combination_stats::<4>(&t, &n, None, &cfg).0,
             brute_best::<4>(&t, &n, None)
         );
     }
@@ -1504,8 +1490,8 @@ mod tests {
         };
         for _ in 0..2 {
             assert_eq!(
-                best_combination::<3>(&t, &n, None, &par),
-                best_combination::<3>(&t, &n, None, &seq)
+                best_combination_stats::<3>(&t, &n, None, &par).0,
+                best_combination_stats::<3>(&t, &n, None, &seq).0
             );
         }
     }
@@ -1520,7 +1506,7 @@ mod tests {
             parallel: false,
             ..GreedyConfig::default()
         };
-        let got = best_combination::<2>(&t, &n, Some(&mask), &cfg);
+        let got = best_combination_stats::<2>(&t, &n, Some(&mask), &cfg).0;
         assert_eq!(got, brute_best::<2>(&t, &n, Some(&mask)));
     }
 
@@ -1631,8 +1617,8 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert_eq!(
-            best_combination::<3>(&t, &n, Some(&mask), &pruned),
-            best_combination::<3>(&t, &n, Some(&mask), &unpruned)
+            best_combination_stats::<3>(&t, &n, Some(&mask), &pruned).0,
+            best_combination_stats::<3>(&t, &n, Some(&mask), &unpruned).0
         );
     }
 
@@ -1653,7 +1639,7 @@ mod tests {
             prune: true,
             ..GreedyConfig::default()
         };
-        let want = best_combination::<3>(&t, &n, None, &unpruned);
+        let want = best_combination_stats::<3>(&t, &n, None, &unpruned).0;
         let (got, st) = best_combination_stats::<3>(&t, &n, None, &pruned);
         assert_eq!(got, want);
         assert_eq!(got.genes, [0, 1, 2]);
@@ -1693,9 +1679,12 @@ mod tests {
             prune: true,
             ..GreedyConfig::default()
         };
-        let want = best_combination::<3>(&t, &n, None, &reference);
+        let want = best_combination_stats::<3>(&t, &n, None, &reference).0;
         for _ in 0..3 {
-            assert_eq!(best_combination::<3>(&t, &n, None, &accelerated), want);
+            assert_eq!(
+                best_combination_stats::<3>(&t, &n, None, &accelerated).0,
+                want
+            );
         }
     }
 
@@ -2440,7 +2429,12 @@ mod tests {
                 prune: false,
                 ..cfg
             };
-            assert_eq!(best_combination::<2>(&t, &n, None, &exhaustive).genes, want);
+            assert_eq!(
+                best_combination_stats::<2>(&t, &n, None, &exhaustive)
+                    .0
+                    .genes,
+                want
+            );
             let (got, st) = best_combination_stats::<2>(&t, &n, None, &cfg);
             assert_eq!(got.genes, want, "block_sweep={block_sweep}");
             assert_eq!((st.scored, st.pruned_combos), (3, 0));

@@ -7,8 +7,8 @@ use multihit_core::combin::{
 };
 use multihit_core::frontier::rescore_combo;
 use multihit_core::greedy::{
-    best_combination, best_combination_frontier, best_combination_stats, discover, ComboScanner,
-    Exclusion, GreedyConfig, ScanStats, SparseMode,
+    best_combination_frontier, best_combination_stats, discover, ComboScanner, Exclusion,
+    GreedyConfig, ScanStats, SparseMode,
 };
 use multihit_core::kernel;
 use multihit_core::kernelize::kernelize;
@@ -131,7 +131,7 @@ proptest! {
             expect = expect.max_det(score_combo(&t, &n, &genes, Alpha::PAPER));
         }
         let cfg = GreedyConfig { parallel: false, ..GreedyConfig::default() };
-        prop_assert_eq!(best_combination::<3>(&t, &n, None, &cfg), expect);
+        prop_assert_eq!(best_combination_stats::<3>(&t, &n, None, &cfg).0, expect);
     }
 
     #[test]
@@ -315,7 +315,7 @@ proptest! {
             None
         };
         let reference = GreedyConfig { parallel: false, prune: false, ..GreedyConfig::default() };
-        let want = best_combination::<3>(&t, &n, mask, &reference);
+        let want = best_combination_stats::<3>(&t, &n, mask, &reference).0;
         for parallel in [false, true] {
             let cfg = GreedyConfig { parallel, prune: true, ..GreedyConfig::default() };
             let (got, stats) = best_combination_stats::<3>(&t, &n, mask, &cfg);
@@ -500,15 +500,15 @@ proptest! {
         } else {
             None
         };
-        let reference = best_combination::<3>(
+        let reference = best_combination_stats::<3>(
             &t,
             &n,
             mask,
             &GreedyConfig { parallel: false, sparse: SparseMode::Off, ..GreedyConfig::default() },
-        );
+        ).0;
         for parallel in [false, true] {
             let cfg = GreedyConfig { parallel, sparse: SparseMode::On, ..GreedyConfig::default() };
-            prop_assert_eq!(best_combination::<3>(&t, &n, mask, &cfg), reference);
+            prop_assert_eq!(best_combination_stats::<3>(&t, &n, mask, &cfg).0, reference);
         }
     }
 }

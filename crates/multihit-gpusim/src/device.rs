@@ -15,8 +15,6 @@ pub struct GpuSpec {
     pub name: &'static str,
     /// Streaming multiprocessors.
     pub sm_count: u32,
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Threads per block used by the `maxF` kernel (paper: 512).
     pub block_size: u32,
     /// Resident threads per SM at full occupancy.
@@ -50,7 +48,6 @@ impl GpuSpec {
         GpuSpec {
             name: "V100-SXM2-16GB",
             sm_count: 80,
-            warp_size: 32,
             block_size: 512,
             max_threads_per_sm: 2048,
             global_mem_bytes: 16 * (1 << 30),
@@ -110,7 +107,6 @@ mod tests {
     fn v100_shape_matches_paper() {
         let g = GpuSpec::v100_summit();
         assert_eq!(g.sm_count, 80);
-        assert_eq!(g.warp_size, 32);
         assert_eq!(g.block_size, 512);
         assert_eq!(g.global_mem_bytes, 16 << 30);
         // "thousands of processing cores": 80 × 64 = 5120 integer lanes.

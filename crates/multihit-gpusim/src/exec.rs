@@ -183,7 +183,7 @@ pub fn run_maxf4(
 mod tests {
     use super::*;
     use multihit_core::combin::binomial;
-    use multihit_core::greedy::{best_combination, GreedyConfig};
+    use multihit_core::greedy::{best_combination_stats, GreedyConfig};
     use multihit_core::reduce::rank0_reduce;
 
     fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
@@ -218,7 +218,7 @@ mod tests {
             parallel: false,
             ..GreedyConfig::default()
         };
-        let expect = best_combination::<4>(&t, &n, None, &cfg);
+        let expect = best_combination_stats::<4>(&t, &n, None, &cfg).0;
         for scheme in [Scheme4::TwoXTwo, Scheme4::ThreeXOne] {
             let nthreads = scheme.thread_count(12);
             let out = run_maxf4(&t, &n, Alpha::PAPER, scheme, 0, nthreads, 512);

@@ -24,7 +24,8 @@ struct State<T> {
     /// from `rejected_closed` so a shutdown race can never masquerade as
     /// legitimate overload shedding.
     rejected_full: u64,
-    /// Rejections of pushes that arrived after [`BoundedQueue::close`].
+    /// Rejections of pushes that arrived after [`BoundedQueue::close`]
+    /// (read through [`BoundedQueue::rejections`]).
     rejected_closed: u64,
 }
 
@@ -112,12 +113,6 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").rejected_full
     }
 
-    /// `try_push` rejections that arrived after [`Self::close`].
-    #[must_use]
-    pub fn rejected_closed(&self) -> u64 {
-        self.state.lock().expect("queue poisoned").rejected_closed
-    }
-
     /// Total `try_push` rejections so far (full + closed).
     #[must_use]
     pub fn rejections(&self) -> u64 {
@@ -150,7 +145,7 @@ mod tests {
         let QueueFull(back) = q.try_push(3).unwrap_err();
         assert_eq!(back, 3);
         assert_eq!(q.rejected_full(), 1);
-        assert_eq!(q.rejected_closed(), 0);
+        assert_eq!(q.rejections(), 1, "nothing was rejected as closed");
         // Draining frees capacity again.
         q.pop_batch(1).unwrap();
         q.try_push(3).unwrap();
@@ -165,8 +160,7 @@ mod tests {
         q.close();
         assert!(q.try_push(3).is_err()); // closed (queue still holds 1 item)
         assert_eq!(q.rejected_full(), 1);
-        assert_eq!(q.rejected_closed(), 1);
-        assert_eq!(q.rejections(), 2);
+        assert_eq!(q.rejections(), 2, "one full rejection and one closed");
     }
 
     #[test]

@@ -867,8 +867,8 @@ mod tests {
         // Every shed corresponds to a queue-full rejection — the
         // closed-queue counter must stay untouched by overload shedding.
         assert_eq!(server.queue_rejected_full(), shed);
-        let rejected_closed: u64 = server.queues.iter().map(|q| q.rejected_closed()).sum();
-        assert_eq!(rejected_closed, 0);
+        let rejections: u64 = server.queues.iter().map(|q| q.rejections()).sum();
+        assert_eq!(rejections, shed, "no push was rejected as closed");
     }
 
     #[test]

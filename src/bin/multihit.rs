@@ -42,7 +42,11 @@
 //! bit-identical against single-process `discover` on the same cohort, with
 //! the ranks' pruning (`scored_combos`, `pruned_fraction`) and the recovery
 //! bill (re-executed λ-work, retransmits, checkpoint fallbacks) printed.
-//! `--ft-timeout-ms` is the probe interval: how long a rank waits on a silent
+//! The run saves a checkpoint before its first pick and after each one, in
+//! a temporary directory that is removed on exit; `ckpt-truncate=K` and
+//! `ckpt-bitflip=K` damage save K (counting from 0), and
+//! `resumed_combinations` is how many picks a resume from those saves
+//! would start with. `--ft-timeout-ms` is the probe interval: how long a rank waits on a silent
 //! peer before probing it again. It paces retransmission and how fast a kill
 //! is noticed; it never evicts a peer for being slow. Plans
 //! may also grow the roster mid-run: `rank-join=R-K` admits rank `R` at the
@@ -519,14 +523,15 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 }
 
 /// `cluster --inject`: run the functional driver for real (rank threads
-/// on a synthetic cohort) under a deterministic fault plan, route the
-/// checkpoints through the durable store so `ckpt-*` injections bite, and
-/// print the recovery bill. Fails unless the surviving ranks reproduce the
-/// panel of single-process [`discover`] — a different entry into the engine,
-/// so the driver is never checked against itself.
+/// on a synthetic cohort) under a deterministic fault plan, saving its
+/// checkpoints through the durable store in a temporary directory so
+/// `ckpt-*` injections damage real writes, and print the recovery bill and
+/// how many picks a resume would start from. Fails unless the surviving
+/// ranks reproduce the panel of single-process [`discover`] — a different
+/// entry into the engine, so the driver is never checked against itself.
 fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> Result<(), String> {
     use multihit::cluster::checkpoint::{Checkpoint, CheckpointStore};
-    use multihit::cluster::driver::{distributed_discover4_ft, DistributedConfig};
+    use multihit::cluster::driver::{distributed_discover4_checkpointed, DistributedConfig};
     use multihit::cluster::fault::{FaultPlan, FaultSpec, FaultState, FtParams};
     use multihit::cluster::topology::ClusterShape;
 
@@ -597,34 +602,24 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
         timeout: std::time::Duration::from_millis(probe_ms),
         ..FtParams::default()
     };
-    let ft = distributed_discover4_ft(
+    // The run saves a checkpoint before its first pick and after each
+    // one; loading them back is what a resumed run would start from.
+    let dir = std::env::temp_dir().join(format!("multihit-inject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let store = CheckpointStore::new(dir.join("run.ckpt"), obs);
+    let run = distributed_discover4_checkpointed(
         &cohort.tumor,
         &cohort.normal,
         &cfg,
         Some(&faults),
         params,
         obs,
-    );
-
-    // Replay the run's checkpoint schedule through the durable store: one
-    // save per discovered combination, then resume from disk. The plan's
-    // ckpt-truncate / ckpt-bitflip events damage these writes.
-    let dir = std::env::temp_dir().join(format!("multihit-inject-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let store = CheckpointStore::new(dir.join("run.ckpt"), obs);
-    let mut ck = Checkpoint::fresh(&cohort.tumor);
-    let io = |e: std::io::Error| format!("checkpoint save: {e}");
-    store.save(&ck, Some(&faults)).map_err(io)?;
-    for combo in &ft.result.combinations {
-        let cov = cohort.tumor.cover_mask(combo);
-        for (m, c) in ck.uncovered_mask.iter_mut().zip(&cov) {
-            *m &= !c;
-        }
-        ck.chosen.push(*combo);
-        store.save(&ck, Some(&faults)).map_err(io)?;
-    }
-    let resumed = store.load()?;
+        &store,
+        Checkpoint::fresh(&cohort.tumor),
+    )
+    .and_then(|ft| Ok((ft, store.load()?)));
     let _ = std::fs::remove_dir_all(&dir);
+    let (ft, resumed) = run?;
 
     let matches = ft.result.combinations == reference.combinations
         && ft.result.uncovered == reference.uncovered;

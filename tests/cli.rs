@@ -164,6 +164,25 @@ fn inject_says_when_every_rank_died() {
 }
 
 #[test]
+fn inject_removes_its_checkpoint_dir_when_the_load_fails() {
+    // Saves 3 and 4 both damaged: save 4 rotates the damaged save 3 into
+    // `.bak`, so neither file loads and the run exits non-zero.
+    let tmp = tempdir("inject-tmp");
+    let out = bin()
+        .args(["cluster", "--nodes", "4", "--seed", "2021", "--inject"])
+        .arg("ckpt-bitflip=3, ckpt-bitflip=4")
+        .env("TMPDIR", &tmp)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "both checkpoint copies were damaged");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("backup invalid too"), "{err}");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    std::fs::remove_dir_all(&tmp).unwrap();
+}
+
+#[test]
 fn loadgen_smoke_is_clean() {
     // Run from an empty working directory: the summary goes to stdout and
     // nothing may be left behind.

@@ -2,8 +2,9 @@
 //! MAF text down to distributed discovery and held-out classification.
 
 use multihit::cluster::driver::{
-    distributed_discover4, distributed_discover4_obs, DistributedConfig, SchedulerKind,
+    distributed_discover4, distributed_discover4_ft, DistributedConfig, SchedulerKind,
 };
+use multihit::cluster::fault::FtParams;
 use multihit::cluster::topology::ClusterShape;
 use multihit::core::combin::binomial;
 use multihit::core::greedy::{discover, GreedyConfig};
@@ -157,7 +158,15 @@ fn cluster_ranks_prune_yet_select_the_exhaustive_panel() {
                 ..DistributedConfig::default()
             };
             let obs = Obs::enabled();
-            let dist = distributed_discover4_obs(&cohort.tumor, &cohort.normal, &cfg, &obs);
+            let dist = distributed_discover4_ft(
+                &cohort.tumor,
+                &cohort.normal,
+                &cfg,
+                None,
+                FtParams::default(),
+                &obs,
+            )
+            .result;
             let ctx = format!("{} k={frontier_k}", scheme.name());
             assert_eq!(dist.combinations, reference.combinations, "{ctx}");
             let mut audited = 0;
