@@ -7,7 +7,8 @@
 //! * the full-Summit projection (§V idea 1: 27,648 GPUs).
 
 use crate::report::{fmt_secs, pct, Table};
-use multihit_cluster::driver::{model_run, ModelConfig, SchedulerKind};
+use multihit_cluster::driver::SchedulerKind;
+use multihit_cluster::timing::{model_run, ModelConfig};
 use multihit_core::combin::binomial;
 use multihit_core::greedy::{discover, GreedyConfig};
 use multihit_data::mutations::{expand, filter_recurrent, ExpansionSpec};

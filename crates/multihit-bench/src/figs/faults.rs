@@ -5,11 +5,10 @@
 
 use crate::report::{fmt_secs, Table};
 use multihit_cluster::driver::{
-    distributed_discover4, distributed_discover4_ft, model_run_faulty, DistributedConfig,
-    ModelConfig,
+    distributed_discover4, distributed_discover4_ft, DistributedConfig,
 };
 use multihit_cluster::fault::{FaultPlan, FaultState, FtParams};
-use multihit_cluster::timing::FailureModel;
+use multihit_cluster::timing::{model_run_faulty, FailureModel, ModelConfig};
 use multihit_cluster::topology::ClusterShape;
 use multihit_core::obs::{Obs, RunReport};
 use multihit_data::synth::{generate, CohortSpec};

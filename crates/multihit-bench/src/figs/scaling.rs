@@ -2,9 +2,10 @@
 //! and the runtime tables (ED vs EA; historical projections).
 
 use crate::report::{fmt_secs, pct, Table};
-use multihit_cluster::driver::{model_run, timeline_run_obs, ModelConfig, SchedulerKind};
+use multihit_cluster::driver::SchedulerKind;
 use multihit_cluster::timing::{
-    average_efficiency, project, strong_scaling_sweep, weak_scaling_sweep,
+    average_efficiency, coverage_profile, model_run, project, strong_scaling_sweep,
+    timeline_run_obs, weak_scaling_sweep, ModelConfig,
 };
 use multihit_core::obs::{Obs, RunReport};
 use multihit_core::schemes::Scheme4;
@@ -181,7 +182,7 @@ pub fn tbl_esca() -> Vec<Table> {
             c.g = 14018;
             c.n_tumor = 182;
             c.scheme = scheme;
-            c.coverage = multihit_cluster::driver::coverage_profile(182, 0.55);
+            c.coverage = coverage_profile(182, 0.55);
             c
         }
     };
@@ -257,7 +258,7 @@ pub fn tbl_allcancers() -> Vec<Table> {
         cfg.g = g as u32;
         cfg.n_tumor = n_tumor as u32;
         cfg.n_normal = n_normal as u32;
-        cfg.coverage = multihit_cluster::driver::coverage_profile(n_tumor as u32, 0.55);
+        cfg.coverage = coverage_profile(n_tumor as u32, 0.55);
         let run = model_run(&cfg);
         t.row(&[
             cancer.code().to_string(),

@@ -4,7 +4,7 @@
 
 use crate::report::{run_report_tables, Table};
 use multihit_cluster::des::Activity;
-use multihit_cluster::driver::{timeline_run_obs, ModelConfig};
+use multihit_cluster::timing::{timeline_run_obs, ModelConfig};
 use multihit_core::obs::{Obs, RunReport};
 
 /// Emit the first-iteration timeline of a small (20-node) BRCA run: every

@@ -2,7 +2,7 @@
 //! and Fig 7 (3x1 utilization on BRCA).
 
 use crate::report::{pct, Table};
-use multihit_cluster::driver::{model_run_obs, ModelConfig};
+use multihit_cluster::timing::{model_run_obs, ModelConfig};
 use multihit_core::obs::Obs;
 use multihit_core::schemes::Scheme4;
 

@@ -22,7 +22,8 @@ use multihit_core::bitmat::BitMatrix;
 use multihit_core::obs::Obs;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Resumable state of a 4-hit discovery run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -200,7 +201,11 @@ impl Checkpoint {
 ///
 /// Saves are atomic: the text is written to `<path>.tmp` and renamed over
 /// `<path>`, so a crash mid-write never destroys the previous checkpoint;
-/// the previous good file is additionally kept as `<path>.bak`. Loads
+/// the previous good file is additionally kept as `<path>.bak`. They are
+/// durable when [`CheckpointStore::save`] returns: the `.bak` copy and the
+/// temporary file are synced before the rename, and (on Unix) the
+/// directory after it, so a power loss keeps this save or the one before
+/// it, never a file that was renamed but never written. Loads
 /// verify the format CRC and fall back to the `.bak` automatically when the
 /// primary file is corrupt, emitting a `recovery` obs point — production
 /// resume loses at most one iteration of progress, which the greedy loop
@@ -236,10 +241,21 @@ impl CheckpointStore {
     pub fn save(&self, ckpt: &Checkpoint, faults: Option<&FaultState>) -> std::io::Result<()> {
         let tmp = self.sibling(".tmp");
         if self.path.exists() {
-            fs::copy(&self.path, self.sibling(".bak"))?;
+            let bak = self.sibling(".bak");
+            fs::copy(&self.path, &bak)?;
+            fs::OpenOptions::new().write(true).open(&bak)?.sync_all()?;
         }
-        fs::write(&tmp, ckpt.to_text())?;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(ckpt.to_text().as_bytes())?;
+        file.sync_all()?;
+        drop(file);
         fs::rename(&tmp, &self.path)?;
+        // The rename is durable once the directory entry is on disk.
+        #[cfg(unix)]
+        {
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         if let Some(f) = faults {
             match f.on_checkpoint_save() {
                 CheckpointFault::None => {}
@@ -486,7 +502,14 @@ mod tests {
         let st = FaultState::new(FaultPlan::none(), &obs);
         store.save(&c, Some(&st)).unwrap();
         assert_eq!(store.load().unwrap(), c);
-        assert!(!path.with_extension("ckpt.tmp").exists());
+        // The temporary file was renamed away; only the checkpoint and the
+        // backup of the previous save remain.
+        let mut left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["run.ckpt", "run.ckpt.bak"]);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -1,5 +1,5 @@
-//! Message passing between ranks: a real in-process runtime for functional
-//! runs and an α–β cost model for paper-scale timing.
+//! Message passing between ranks: the in-process runtime functional runs
+//! use.
 //!
 //! The paper runs one MPI process per Summit node (Fig 1); a distributed
 //! iteration is one reduction to rank 0 — one 20-byte record per rank
@@ -11,8 +11,8 @@
 //! per rank wired with crossbeam channels and provides point-to-point
 //! `send`/`recv`, a binomial-tree `reduce_to_root`, a `broadcast`, and a
 //! `barrier` — enough to express the paper's communication pattern exactly
-//! and test it with real concurrency. [`CommModel`] prices the same
-//! collectives for the modeled runs.
+//! and test it with real concurrency. The modeled runs price the same
+//! collectives with an α–β model instead.
 //!
 //! ## Fault-tolerant collectives
 //!
@@ -783,50 +783,6 @@ where
     })
 }
 
-/// α–β cost model for the modeled cluster (latency + inverse bandwidth).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommModel {
-    /// Per-message latency, seconds (α).
-    pub latency_s: f64,
-    /// Per-byte transfer time, seconds (β = 1/bandwidth).
-    pub per_byte_s: f64,
-}
-
-impl CommModel {
-    /// Summit-like fat-tree interconnect: ~2 µs MPI latency, ~23 GB/s
-    /// effective per-link bandwidth.
-    #[must_use]
-    pub fn summit() -> Self {
-        CommModel {
-            latency_s: 2.0e-6,
-            per_byte_s: 1.0 / 23.0e9,
-        }
-    }
-
-    /// Time for one point-to-point message of `bytes`.
-    #[must_use]
-    pub fn p2p(&self, bytes: u64) -> f64 {
-        self.latency_s + self.per_byte_s * bytes as f64
-    }
-
-    /// Binomial-tree reduce of a `bytes`-sized record across `ranks`:
-    /// `ceil(log₂ ranks)` sequential rounds.
-    #[must_use]
-    pub fn reduce(&self, bytes: u64, ranks: usize) -> f64 {
-        if ranks <= 1 {
-            return 0.0;
-        }
-        let rounds = usize::BITS - (ranks - 1).leading_zeros();
-        f64::from(rounds) * self.p2p(bytes)
-    }
-
-    /// Broadcast cost (same tree shape as reduce).
-    #[must_use]
-    pub fn broadcast(&self, bytes: u64, ranks: usize) -> f64 {
-        self.reduce(bytes, ranks)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1093,18 +1049,5 @@ mod tests {
             assert_eq!(o, &Ok(expect.clone()), "rank {r}");
         }
         assert_eq!(st.fired().len(), 1, "the planned drop fired");
-    }
-
-    #[test]
-    fn comm_model_scaling() {
-        let m = CommModel::summit();
-        assert_eq!(m.reduce(20, 1), 0.0);
-        // log2 rounds: 1000 ranks → 10 rounds.
-        let t1000 = m.reduce(20, 1000);
-        let t100 = m.reduce(20, 100);
-        assert!((t1000 / m.p2p(20) - 10.0).abs() < 1e-9);
-        assert!((t100 / m.p2p(20) - 7.0).abs() < 1e-9);
-        // 20-byte messages are latency-dominated.
-        assert!(m.p2p(20) < 3.0e-6);
     }
 }

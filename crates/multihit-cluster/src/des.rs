@@ -1,6 +1,6 @@
 //! Discrete-event simulation of a distributed run.
 //!
-//! [`crate::driver::model_run`] prices an iteration as `max(comp) + comm` —
+//! [`crate::timing::model_run`] prices an iteration as `max(comp) + comm` —
 //! right for totals, but it cannot answer *when* each device was busy or
 //! idle. This module replays a modeled run as events on a virtual clock:
 //! per GPU a `KernelStart`/`KernelEnd` pair, per rank a local-reduce
@@ -10,7 +10,7 @@
 //! for "message passing overhead is hidden by the largest computation time"
 //! (§IV-E), now with per-rank idle-time attribution.
 
-use crate::comm::CommModel;
+use crate::timing::CommModel;
 use crate::topology::ClusterShape;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -238,7 +238,7 @@ pub fn simulate_iteration(
 /// Sample failure event times over `[0, horizon_s)` from a Poisson process
 /// with mean time between failures `mtbf_s` (exponential inter-arrivals),
 /// deterministically from `seed`. This is the discrete-event side of the
-/// failure model: [`crate::driver::model_run_faulty`] walks the modeled
+/// failure model: [`crate::timing::model_run_faulty`] walks the modeled
 /// iterations and charges detection, restart, and re-execution for every
 /// sampled event.
 #[must_use]

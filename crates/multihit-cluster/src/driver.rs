@@ -1,26 +1,23 @@
-//! The distributed greedy driver, in two halves:
+//! The functional distributed greedy driver, [`distributed_discover4_ft`]:
+//! real rank threads, each GPU's λ-slab really scored (by the core scan
+//! driver `discover` uses, in its popcount order and bound-pruned — see
+//! [`scan_slab4`]), real binomial-tree reduction to rank 0, BitSplicing
+//! between iterations. There is one driver: a per-rank state machine
+//! (iteration barrier → admit joiners → frontier check → one rank round:
+//! kernels unless the frontier hit, reduce, winner broadcast → splice →
+//! record) over the fault-tolerant collectives of [`FtCtx`], and a
+//! fault-free run ([`distributed_discover4`]) is that machine with an empty
+//! fault plan. [`distributed_discover4_checkpointed`] starts it from a
+//! checkpoint and saves one after every pick. It produces exactly the
+//! combinations the single-process reference produces (tested), at any
+//! cluster shape, whoever dies or joins.
 //!
-//! * [`distributed_discover4_ft`] — **functional**: real rank threads, each
-//!   GPU's λ-slab really scored (by the core scan driver `discover` uses, in
-//!   its popcount order and bound-pruned — see [`scan_slab4`]), real
-//!   binomial-tree reduction to rank 0, BitSplicing between iterations.
-//!   There is one driver: a per-rank state machine (iteration barrier →
-//!   admit joiners → frontier check → one rank round: kernels unless the
-//!   frontier hit, reduce, winner broadcast → splice → record) over the
-//!   fault-tolerant collectives of [`FtCtx`], and a fault-free run
-//!   ([`distributed_discover4`]) is that machine with an empty fault plan.
-//!   [`distributed_discover4_checkpointed`] starts it from a checkpoint and
-//!   saves one after every pick.
-//!   Produces exactly the combinations the single-process reference
-//!   produces (tested), at any cluster shape, whoever dies or joins.
-//! * [`model_run`] — **modeled**: the same schedule and communication
-//!   pattern priced by the gpusim cost model and the α–β comm model, usable
-//!   at paper scale (`G = 19411`, 6000 GPUs) where functional execution
-//!   would take 6000 GPU-days. This is what regenerates the paper's scaling
-//!   figures.
+//! The paper-scale runs price the same schedule under the cost models
+//! instead of executing it; they share only [`SchedulerKind`] with this
+//! driver.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::comm::{run_ranks, BcastMsg, CommModel, FtCtx, FtStats};
+use crate::comm::{run_ranks, BcastMsg, FtCtx, FtStats};
 use crate::fault::{FaultState, FtParams};
 use crate::sched::{rebalance_join, schedule_ea_fast, schedule_ed, validate_cover, Partition};
 use crate::topology::ClusterShape;
@@ -35,33 +32,11 @@ use multihit_core::reduce::merge_top_k;
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::levels_scheme4;
 use multihit_core::weight::{Alpha, Scored};
-use multihit_gpusim::counters::{apply_jitter, record_run_metrics, run_metrics};
-use multihit_gpusim::device::NodeSpec;
-use multihit_gpusim::profile::{kernel_levels4, prefetch_depth4, profile_partitions};
-use multihit_gpusim::{CostModel, GpuCost};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Convert a duration in seconds to nanoseconds, saturating at the `u64`
-/// range. Durations must be well-formed: debug builds assert against NaN
-/// and (beyond float round-off) negative inputs instead of silently mapping
-/// them to 0; release builds saturate (NaN/negative → 0, +∞ → `u64::MAX`).
-fn secs_to_ns(s: f64) -> u64 {
-    debug_assert!(!s.is_nan(), "NaN duration");
-    debug_assert!(s >= -1e-9, "negative duration: {s}");
-    if s.is_nan() || s <= 0.0 {
-        return 0;
-    }
-    let ns = (s * 1e9).round();
-    if ns >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        ns as u64
-    }
 }
 
 /// Which scheduler partitions the λ-range across GPUs.
@@ -105,7 +80,13 @@ impl SchedulerKind {
     /// scheduler itself (`partition_ns`) plus the EA-area imbalance of the
     /// partitioning it produced, as a `sched_partition` point.
     #[must_use]
-    fn partitions_obs(self, scheme: Scheme4, g: u32, parts: usize, obs: &Obs) -> Vec<Partition> {
+    pub(crate) fn partitions_obs(
+        self,
+        scheme: Scheme4,
+        g: u32,
+        parts: usize,
+        obs: &Obs,
+    ) -> Vec<Partition> {
         let start = Instant::now();
         let partitions = self.partitions(scheme, g, parts);
         let partition_ns = elapsed_ns(start);
@@ -1004,360 +985,6 @@ fn drive(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Modeled (paper-scale) runs
-// ---------------------------------------------------------------------------
-
-/// Configuration of a modeled paper-scale run.
-#[derive(Clone, Debug)]
-pub struct ModelConfig {
-    /// Cluster allocation.
-    pub shape: ClusterShape,
-    /// Parallelization scheme.
-    pub scheme: Scheme4,
-    /// λ-range scheduler.
-    pub scheduler: SchedulerKind,
-    /// Gene universe size.
-    pub g: u32,
-    /// Tumor samples (drives word counts and BitSplicing shrinkage).
-    pub n_tumor: u32,
-    /// Normal samples.
-    pub n_normal: u32,
-    /// Node hardware.
-    pub node: NodeSpec,
-    /// Interconnect model.
-    pub comm: CommModel,
-    /// Node-to-node performance jitter amplitude (0 disables).
-    pub jitter: f64,
-    /// Jitter seed.
-    pub seed: u64,
-    /// Fraction of tumor samples still uncovered at the start of each
-    /// iteration (first entry normally 1.0); its length is the iteration
-    /// count. See [`coverage_profile`].
-    pub coverage: Vec<f64>,
-}
-
-impl ModelConfig {
-    /// The BRCA production configuration on `nodes` Summit nodes.
-    #[must_use]
-    pub fn brca(nodes: usize) -> Self {
-        ModelConfig {
-            shape: ClusterShape::summit(nodes),
-            scheme: Scheme4::ThreeXOne,
-            scheduler: SchedulerKind::EquiArea,
-            g: 19411,
-            n_tumor: 911,
-            n_normal: 329,
-            node: NodeSpec::summit(),
-            comm: CommModel::summit(),
-            jitter: 0.03,
-            seed: 2021,
-            coverage: coverage_profile(911, 0.55),
-        }
-    }
-
-    /// The ACC configuration (smallest dataset; Fig 6's subject).
-    #[must_use]
-    pub fn acc(nodes: usize) -> Self {
-        ModelConfig {
-            g: 8354,
-            n_tumor: 77,
-            n_normal: 329,
-            coverage: coverage_profile(77, 0.55),
-            ..ModelConfig::brca(nodes)
-        }
-    }
-}
-
-/// Geometric coverage decay: iteration `i` starts with `ratio^i` of the
-/// tumor samples uncovered; stops when fewer than one sample remains.
-/// `ratio` is the fraction *not* covered by each winning combination.
-#[must_use]
-pub fn coverage_profile(n_tumor: u32, ratio: f64) -> Vec<f64> {
-    assert!((0.0..1.0).contains(&ratio), "ratio must be in [0,1)");
-    let mut v = Vec::new();
-    let mut frac = 1.0f64;
-    while frac * f64::from(n_tumor) >= 1.0 {
-        v.push(frac);
-        frac *= ratio;
-    }
-    if v.is_empty() {
-        v.push(1.0);
-    }
-    v
-}
-
-/// Modeled cost of one iteration.
-#[derive(Clone, Debug)]
-pub struct ModeledIteration {
-    /// Per-GPU launch costs (jittered), in global GPU order.
-    pub per_gpu: Vec<GpuCost>,
-    /// Per-rank computation time (max of its GPUs).
-    pub per_rank_comp: Vec<f64>,
-    /// Communication time of the reduce+broadcast pair.
-    pub comm_s: f64,
-    /// Iteration wall time: straggler rank + communication.
-    pub time_s: f64,
-}
-
-/// Modeled cost of a whole run.
-#[derive(Clone, Debug)]
-pub struct ModeledRun {
-    /// Iterations in order.
-    pub iterations: Vec<ModeledIteration>,
-    /// End-to-end wall time.
-    pub total_s: f64,
-}
-
-/// Price a full run under the cost models. `O(iterations × gpus × G)`.
-#[must_use]
-pub fn model_run(cfg: &ModelConfig) -> ModeledRun {
-    model_run_obs(cfg, &Obs::disabled())
-}
-
-/// [`model_run`] with observability: scheduler timing (`sched_partition`),
-/// one `model_iter` point per iteration (modeled compute/comm/wall
-/// nanoseconds), and — for the first iteration, where the matrix is whole —
-/// the full per-GPU NVPROF-style profile via
-/// [`multihit_gpusim::counters::record_run_metrics`]. Modeled times are
-/// emitted in nanoseconds so the stream is unit-uniform with measured spans.
-#[must_use]
-pub fn model_run_obs(cfg: &ModelConfig, obs: &Obs) -> ModeledRun {
-    let _run_span = obs.span("model_run");
-    let n_gpus = cfg.shape.total_gpus();
-    let model = CostModel::new(cfg.node.gpu.clone());
-    let wn = u64::from(cfg.n_normal.div_ceil(64));
-    let parts = cfg.scheduler.partitions_obs(cfg.scheme, cfg.g, n_gpus, obs);
-    let levels = kernel_levels4(cfg.scheme, cfg.g);
-    let prefetch = prefetch_depth4(cfg.scheme);
-    let mid = matches!(cfg.scheme, Scheme4::TwoXTwo | Scheme4::OneXThree);
-
-    let mut iterations = Vec::with_capacity(cfg.coverage.len());
-    let mut total_s = 0.0;
-    for (it_idx, frac) in cfg.coverage.iter().enumerate() {
-        // BitSplicing: the tumor matrix shrinks with coverage.
-        let remaining = (f64::from(cfg.n_tumor) * frac).ceil() as u32;
-        let wt = u64::from(remaining.div_ceil(64).max(1));
-        let w = wt + wn;
-        let bounds = crate::sched::partitions_to_ranges(&parts);
-        let costs: Vec<GpuCost> = profile_partitions(&levels, &bounds, w, prefetch, mid)
-            .iter()
-            .map(|pr| model.evaluate(pr))
-            .collect();
-        let costs = if cfg.jitter > 0.0 {
-            apply_jitter(&costs, cfg.jitter, cfg.seed.wrapping_add(it_idx as u64))
-        } else {
-            costs
-        };
-        // GPUs of a node run concurrently; the rank waits on its slowest.
-        let per_rank_comp: Vec<f64> = (0..cfg.shape.nodes)
-            .map(|r| {
-                cfg.shape
-                    .gpus_of_rank(r)
-                    .map(|gi| costs[gi].time_s)
-                    .fold(0.0f64, f64::max)
-            })
-            .collect();
-        let comp = per_rank_comp.iter().copied().fold(0.0f64, f64::max);
-        let comm_s = cfg.comm.reduce(32, cfg.shape.nodes) + cfg.comm.broadcast(32, cfg.shape.nodes);
-        let time_s = comp + comm_s;
-        total_s += time_s;
-        if obs.is_enabled() {
-            obs.point(
-                "model_iter",
-                &[
-                    ("iter", it_idx.into()),
-                    ("remaining", u64::from(remaining).into()),
-                    ("comp_ns", secs_to_ns(comp).into()),
-                    ("comm_ns", secs_to_ns(comm_s).into()),
-                    ("time_ns", secs_to_ns(time_s).into()),
-                ],
-            );
-            if it_idx == 0 {
-                // Per-GPU profile rows only for the representative first
-                // iteration: paper-scale fleets would otherwise dominate
-                // the stream (6000 GPUs × ~15 iterations).
-                record_run_metrics(obs, &run_metrics(&model, &costs));
-            }
-        }
-        iterations.push(ModeledIteration {
-            per_gpu: costs,
-            per_rank_comp,
-            comm_s,
-            time_s,
-        });
-    }
-    ModeledRun {
-        iterations,
-        total_s,
-    }
-}
-
-/// Replay a modeled run through the discrete-event simulator
-/// ([`crate::des`]): one [`Timeline`](crate::des::Timeline) per iteration,
-/// built from the same per-GPU costs `model_run` prices. Gives per-rank
-/// busy/idle/communication attribution instead of aggregate times.
-///
-/// With `obs` enabled: one `rank` point per rank per
-/// iteration attributing the makespan into `busy_ns` (concurrent kernel
-/// wall + communication), `idle_ns` (waiting on the straggler) and
-/// `comm_ns`, plus one `timeline_iter` point per iteration. By the DES
-/// accounting, `busy_ns + idle_ns = makespan_ns` per rank (up to clamping
-/// and nanosecond rounding) — the driver-level test asserts it.
-#[must_use]
-pub fn timeline_run_obs(cfg: &ModelConfig, obs: &Obs) -> Vec<crate::des::Timeline> {
-    let run = model_run_obs(cfg, obs);
-    run.iterations
-        .iter()
-        .enumerate()
-        .map(|(it_idx, it)| {
-            let times: Vec<f64> = it.per_gpu.iter().map(|c| c.time_s).collect();
-            let tl = crate::des::simulate_iteration(&times, &cfg.shape, &cfg.comm, 32);
-            if obs.is_enabled() {
-                for rank in 0..cfg.shape.nodes {
-                    let kernel_ns = secs_to_ns(tl.rank_kernel_time(&cfg.shape, rank));
-                    let comm_ns = secs_to_ns(tl.rank_comm_time(rank));
-                    let idle_ns = secs_to_ns(tl.rank_idle_time(&cfg.shape, rank));
-                    let makespan_ns = secs_to_ns(tl.makespan);
-                    let busy_ns = makespan_ns.saturating_sub(idle_ns);
-                    obs.point(
-                        "rank",
-                        &[
-                            ("iter", it_idx.into()),
-                            ("rank", rank.into()),
-                            ("busy_ns", busy_ns.into()),
-                            ("idle_ns", idle_ns.into()),
-                            ("comm_ns", comm_ns.into()),
-                            ("kernel_ns", kernel_ns.into()),
-                            ("makespan_ns", makespan_ns.into()),
-                        ],
-                    );
-                }
-                obs.point(
-                    "timeline_iter",
-                    &[
-                        ("iter", it_idx.into()),
-                        ("makespan_ns", secs_to_ns(tl.makespan).into()),
-                    ],
-                );
-            }
-            tl
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Modeled failures
-// ---------------------------------------------------------------------------
-
-/// A modeled paper-scale run with MTBF-driven failures priced in
-/// ([`model_run_faulty`]).
-#[derive(Clone, Debug)]
-pub struct FaultyModeledRun {
-    /// The fault-free modeled run.
-    pub base: ModeledRun,
-    /// Sampled failure times on the useful-work clock, seconds.
-    pub failures: Vec<f64>,
-    /// Checkpoint cost over the run (one write per iteration), seconds.
-    pub ckpt_cost_s: f64,
-    /// Work lost to failures and re-executed, seconds.
-    pub rework_s: f64,
-    /// Restart latency paid across failures, seconds.
-    pub restart_s: f64,
-    /// End-to-end wall time including all overheads.
-    pub total_s: f64,
-    /// Closed-form expected overhead at Young's optimal checkpoint
-    /// interval, for comparison with the per-iteration policy.
-    pub expected: crate::timing::FailureOverhead,
-}
-
-impl FaultyModeledRun {
-    /// Overhead of failures + checkpointing relative to the useful time.
-    #[must_use]
-    pub fn overhead_fraction(&self) -> f64 {
-        (self.total_s - self.base.total_s) / self.base.total_s
-    }
-}
-
-/// Price a paper-scale run under failures: the fault-free iterations come
-/// from [`model_run`], failure events are sampled from the MTBF by
-/// [`crate::des::sample_failures`], and every failure costs the restart
-/// latency plus re-execution of the interrupted iteration from its start
-/// (the greedy loop checkpoints after every iteration, so at most one
-/// iteration of work is ever lost). Emits one `fault` point per sampled
-/// failure and a `recovery` summary point.
-#[must_use]
-pub fn model_run_faulty(
-    cfg: &ModelConfig,
-    fm: &crate::timing::FailureModel,
-    obs: &Obs,
-) -> FaultyModeledRun {
-    let base = model_run_obs(cfg, obs);
-    let mtbf = fm.system_mtbf_s(cfg.shape.nodes);
-    let failures = crate::des::sample_failures(mtbf, base.total_s, cfg.seed);
-    let ckpt_cost_s = base.iterations.len() as f64 * fm.ckpt_write_s;
-    let mut rework_s = 0.0f64;
-    for &t in &failures {
-        // Locate the iteration the failure interrupts; the time already
-        // spent in it is lost and re-executed.
-        let mut start = 0.0f64;
-        let mut lost = 0.0f64;
-        let mut iter_idx = base.iterations.len().saturating_sub(1);
-        for (i, it) in base.iterations.iter().enumerate() {
-            if t < start + it.time_s {
-                lost = t - start;
-                iter_idx = i;
-                break;
-            }
-            start += it.time_s;
-        }
-        rework_s += lost;
-        if obs.is_enabled() {
-            obs.point(
-                "fault",
-                &[
-                    ("kind", "node_failure".into()),
-                    ("iter", iter_idx.into()),
-                    ("t_ns", secs_to_ns(t).into()),
-                    ("lost_ns", secs_to_ns(lost).into()),
-                ],
-            );
-        }
-    }
-    let restart_s = failures.len() as f64 * fm.recovery_s;
-    let total_s = base.total_s + ckpt_cost_s + rework_s + restart_s;
-    let expected = fm.expected_overhead(
-        cfg.shape.nodes,
-        base.total_s,
-        fm.young_interval_s(cfg.shape.nodes),
-    );
-    if obs.is_enabled() {
-        obs.point(
-            "recovery",
-            &[
-                ("kind", "modeled".into()),
-                ("failures", failures.len().into()),
-                ("ckpt_cost_ns", secs_to_ns(ckpt_cost_s).into()),
-                ("rework_ns", secs_to_ns(rework_s).into()),
-                ("restart_ns", secs_to_ns(restart_s).into()),
-                (
-                    "overhead_fraction",
-                    ((total_s - base.total_s) / base.total_s).into(),
-                ),
-            ],
-        );
-    }
-    FaultyModeledRun {
-        base,
-        failures,
-        ckpt_cost_s,
-        rework_s,
-        restart_s,
-        total_s,
-        expected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1422,31 +1049,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn secs_to_ns_saturates_cleanly() {
-        assert_eq!(secs_to_ns(1.5), 1_500_000_000);
-        assert_eq!(secs_to_ns(0.0), 0);
-        assert_eq!(secs_to_ns(-0.0), 0);
-        // Float round-off below zero saturates to 0 instead of wrapping.
-        assert_eq!(secs_to_ns(-1e-12), 0);
-        assert_eq!(secs_to_ns(f64::INFINITY), u64::MAX);
-        assert_eq!(secs_to_ns(1e300), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN duration")]
-    #[cfg(debug_assertions)]
-    fn secs_to_ns_rejects_nan_in_debug() {
-        let _ = secs_to_ns(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative duration")]
-    #[cfg(debug_assertions)]
-    fn secs_to_ns_rejects_negative_in_debug() {
-        let _ = secs_to_ns(-1.0);
     }
 
     #[test]
@@ -1728,148 +1330,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn coverage_profile_shapes() {
-        let p = coverage_profile(911, 0.55);
-        assert_eq!(p[0], 1.0);
-        assert!(p.len() > 5 && p.len() < 30);
-        assert!(p.windows(2).all(|w| w[1] < w[0]));
-        assert_eq!(coverage_profile(1, 0.5), vec![1.0]);
-    }
-
-    #[test]
-    fn model_run_produces_finite_times() {
-        let run = model_run(&ModelConfig::brca(100));
-        assert!(run.total_s.is_finite() && run.total_s > 0.0);
-        assert_eq!(run.iterations[0].per_gpu.len(), 600);
-        assert_eq!(run.iterations[0].per_rank_comp.len(), 100);
-        // Later iterations are cheaper (BitSplicing shrinks the matrix).
-        let t0 = run.iterations[0].time_s;
-        let tl = run.iterations.last().unwrap().time_s;
-        assert!(tl < t0);
-    }
-
-    #[test]
-    fn modeled_failures_price_sanely() {
-        use crate::timing::FailureModel;
-        let cfg = ModelConfig::brca(100);
-        // Astronomical MTBF → no failures, overhead is checkpointing only.
-        let calm = FailureModel {
-            node_mtbf_s: 1e18,
-            ..FailureModel::summit_like()
-        };
-        let quiet = model_run_faulty(&cfg, &calm, &Obs::disabled());
-        assert!(quiet.failures.is_empty());
-        assert!((quiet.rework_s, quiet.restart_s) == (0.0, 0.0));
-        assert!(quiet.total_s >= quiet.base.total_s);
-        // Absurdly failure-prone cluster → failures land, overhead grows,
-        // and the run is deterministic in the seed.
-        let frail = FailureModel {
-            node_mtbf_s: cfg.shape.nodes as f64 * quiet.base.total_s / 5.0,
-            ..FailureModel::summit_like()
-        };
-        let rough = model_run_faulty(&cfg, &frail, &Obs::disabled());
-        assert!(!rough.failures.is_empty());
-        assert!(rough.total_s > rough.base.total_s);
-        assert!(rough.overhead_fraction() > 0.0);
-        let again = model_run_faulty(&cfg, &frail, &Obs::disabled());
-        assert_eq!(rough.failures, again.failures);
-        // The closed-form expectation agrees on the failure count scale.
-        assert!(rough.expected.expected_failures > 0.0);
-    }
-
-    #[test]
-    fn modeled_ea_beats_ed() {
-        // The paper's §IV-B: EA ≈ 3× faster than ED for 2x2 at 100 nodes.
-        let mut cfg = ModelConfig::brca(100);
-        cfg.scheme = Scheme4::TwoXTwo;
-        cfg.jitter = 0.0;
-        cfg.coverage = vec![1.0];
-        let ea = model_run(&cfg).total_s;
-        cfg.scheduler = SchedulerKind::EquiDistance;
-        let ed = model_run(&cfg).total_s;
-        let speedup = ed / ea;
-        assert!(speedup > 2.0, "EA speedup only {speedup:.2}×");
-    }
-
-    #[test]
-    fn des_timeline_agrees_with_flat_model() {
-        // Per iteration, the DES makespan brackets the flat estimate:
-        // ≥ max(comp), ≤ max(comp) + full tree cost.
-        let cfg = ModelConfig::brca(100);
-        let run = model_run(&cfg);
-        let timelines = timeline_run_obs(&cfg, &Obs::disabled());
-        assert_eq!(timelines.len(), run.iterations.len());
-        for (tl, it) in timelines.iter().zip(&run.iterations) {
-            let comp = it.per_rank_comp.iter().copied().fold(0.0f64, f64::max);
-            assert!(tl.makespan >= comp - 1e-9);
-            assert!(tl.makespan <= comp + it.comm_s + 1e-9);
-        }
-    }
-
-    #[test]
-    fn rank_points_account_for_makespan() {
-        // Per iteration and per rank, the `rank` points in the metrics
-        // stream must satisfy busy_ns + idle_ns = makespan_ns: the stream
-        // is a complete attribution of each rank's wall clock.
-        let cfg = ModelConfig::brca(20);
-        let obs = Obs::enabled();
-        let tls = timeline_run_obs(&cfg, &obs);
-        let events = obs.events();
-        let rank_points: Vec<_> = events.iter().filter(|e| e.name == "rank").collect();
-        assert_eq!(rank_points.len(), tls.len() * cfg.shape.nodes);
-        for p in &rank_points {
-            // Guarded defaults: a partial metrics stream (e.g. a rank killed
-            // mid-iteration dropped a field) degrades to 0 and fails the
-            // attribution check below with the offending point named,
-            // instead of panicking the aggregation.
-            let busy = p.u64("busy_ns").unwrap_or(0);
-            let idle = p.u64("idle_ns").unwrap_or(0);
-            let makespan = p.u64("makespan_ns").unwrap_or(0);
-            assert!(makespan > 0, "rank point missing makespan_ns: {p:?}");
-            let sum = busy + idle;
-            let diff = sum.abs_diff(makespan);
-            assert!(
-                diff <= 1,
-                "busy {busy} + idle {idle} != makespan {makespan}"
-            );
-        }
-        // Aggregated the same way RunReport does: mean utilization is a
-        // genuine ratio and some rank is fully busy each iteration.
-        let report = multihit_core::obs::RunReport::from_events(&events);
-        assert_eq!(report.ranks.len(), cfg.shape.nodes);
-        let util = report.mean_rank_utilization();
-        assert!(util > 0.0 && util <= 1.0, "utilization {util}");
-        assert!(report.rank_imbalance() >= 1.0);
-        assert_eq!(report.makespan_ns.len(), tls.len());
-    }
-
-    #[test]
-    fn obs_run_matches_plain_run() {
-        // Instrumentation must not perturb the model: same iterations,
-        // same makespans, bit-identical schedule.
-        let cfg = ModelConfig::brca(20);
-        let plain = timeline_run_obs(&cfg, &Obs::disabled());
-        let observed = timeline_run_obs(&cfg, &Obs::enabled());
-        assert_eq!(plain.len(), observed.len());
-        for (a, b) in plain.iter().zip(&observed) {
-            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-            assert_eq!(a.intervals.len(), b.intervals.len());
-        }
-    }
-
-    #[test]
-    fn comm_is_hidden_by_computation() {
-        // Fig 8: message-passing overhead is dwarfed by computation.
-        let run = model_run(&ModelConfig::brca(1000));
-        let comp: f64 = run
-            .iterations
-            .iter()
-            .map(|i| i.per_rank_comp.iter().copied().fold(0.0f64, f64::max))
-            .sum();
-        let comm: f64 = run.iterations.iter().map(|i| i.comm_s).sum();
-        assert!(comm < 0.01 * comp);
     }
 }

@@ -6,8 +6,8 @@
 //! cargo run --example summit_scaling --release
 //! ```
 
-use multihit::cluster::driver::{model_run, ModelConfig, SchedulerKind};
-use multihit::cluster::timing::{average_efficiency, strong_scaling_sweep};
+use multihit::cluster::driver::SchedulerKind;
+use multihit::cluster::timing::{average_efficiency, model_run, strong_scaling_sweep, ModelConfig};
 use multihit::core::schemes::Scheme4;
 use multihit::gpusim::counters::{run_metrics, utilization_summary};
 use multihit::gpusim::CostModel;

@@ -15,7 +15,7 @@
 //! multihit cluster  --inject SPECS [--nodes N] [--scheduler ea|ed|ec]
 //!                   [--seed S] [--ft-timeout-ms MS]
 //!                   [--metrics-out M.jsonl] [--trace]
-//! multihit serve    (--results DIR | --synth) [--addr HOST:PORT]
+//! multihit serve    (--results DIR | --synth [--seed S]) [--addr HOST:PORT]
 //!                   [--shards S] [--batch-max B] [--queue-cap Q]
 //!                   [--cache-cap C] [--admit-rps R]
 //!                   [--admit-burst-secs S] [--reactors N]
@@ -48,7 +48,11 @@
 //! `resumed_combinations` is how many picks a resume from those saves
 //! would start with. `--ft-timeout-ms` is the probe interval: how long a rank waits on a silent
 //! peer before probing it again. It paces retransmission and how fast a kill
-//! is noticed; it never evicts a peer for being slow. Plans
+//! is noticed; it never evicts a peer for being slow. Every line of the
+//! report is fixed by the seed and the plan except the three prefixed
+//! `paced_` (retransmissions, retransmit requests, probe timeouts): probes
+//! are paced by the clock, so how many a run needs depends on how the rank
+//! threads are scheduled. Plans
 //! may also grow the roster mid-run: `rank-join=R-K` admits rank `R` at the
 //! iteration-`K` barrier through the elastic membership protocol (boundary
 //! slab moves instead of a full re-shard).
@@ -75,12 +79,15 @@
 //! misattributed shed, starved well-behaved tenant, or binary/JSON
 //! cross-check mismatch — the CI serving gate.
 //!
+//! Each subcommand accepts only the flags listed above for it; any other
+//! `--flag` is an error that names it.
+//!
 //! `--metrics-out` writes the observability stream (JSON lines: spans,
 //! per-iteration/per-rank points, final counters) produced by the run;
 //! `--trace` additionally echoes each record to stderr as it happens.
 
-use multihit::cluster::driver::{model_run_faulty, timeline_run_obs, ModelConfig, SchedulerKind};
-use multihit::cluster::timing::FailureModel;
+use multihit::cluster::driver::SchedulerKind;
+use multihit::cluster::timing::{model_run_faulty, timeline_run_obs, FailureModel, ModelConfig};
 use multihit::core::bitmat::BitMatrix;
 use multihit::core::greedy::{discover, discover_obs, GreedyConfig, SparseMode};
 use multihit::core::obs::{Obs, RunReport};
@@ -640,10 +647,12 @@ fn cluster_fault_demo(args: &[String], specs: &str, nodes: usize, obs: &Obs) -> 
     println!("membership_epochs\t{}", r.membership_epochs);
     println!("re_executed_iterations\t{}", r.re_executed_iterations);
     println!("re_executed_combos\t{}", r.re_executed_combos);
-    println!("retransmits\t{}", r.ft.retransmits);
-    println!("retrans_requests\t{}", r.ft.retrans_requests);
     println!("crc_failures\t{}", r.ft.crc_failures);
-    println!("timeouts\t{}", r.ft.timeouts);
+    // Probes are paced by the clock, so these three vary between runs of
+    // one seed and plan; every other line is fixed by the seed and plan.
+    println!("paced_retransmits\t{}", r.ft.retransmits);
+    println!("paced_retrans_requests\t{}", r.ft.retrans_requests);
+    println!("paced_timeouts\t{}", r.ft.timeouts);
     println!("ckpt_fallbacks\t{}", report.ckpt_fallbacks());
     println!("resumed_combinations\t{}", resumed.chosen.len());
     if !matches {
@@ -877,7 +886,7 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
                   | ckpt-truncate=K | ckpt-bitflip=K
            --ft-timeout-ms is the probe interval for silent peers (default
            50); a slow rank is waited for, only a dead one is dropped
-  serve    (--results DIR | --synth) [--addr HOST:PORT --shards S
+  serve    (--results DIR | --synth [--seed S]) [--addr HOST:PORT --shards S
            --batch-max B --queue-cap Q --cache-cap C
            --admit-rps R --admit-burst-secs B --reactors N
            --duration-secs T --metrics-out M.jsonl --trace]
@@ -887,6 +896,46 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
            --queue-cap Q --cache-cap C
            --tenants N --admit-rps R --metrics-out M.jsonl --trace]";
 
+type Subcommand = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand with the one list of flags it accepts. Any other
+/// argument that begins with `--` is refused, so a misspelt flag fails the
+/// run instead of silently leaving its default in place.
+const COMMANDS: &[(&str, Subcommand, &str)] = &[
+    (
+        "synth",
+        cmd_synth,
+        "--out-dir --genes --tumor --normal --combos --hits --penetrance \
+         --noise-tumor --noise-normal --seed",
+    ),
+    (
+        "discover",
+        cmd_discover,
+        "--tumor --normal --hits --max-combos --cohort --out --publish --no-prune \
+         --scan --no-kernelize --no-block-sweep --sparse --frontier-k --metrics-out --trace",
+    ),
+    ("classify", cmd_classify, "--results --tumor --normal"),
+    (
+        "cluster",
+        cmd_cluster,
+        "--dataset --nodes --scheduler --mtbf --ckpt-write --recovery-time --inject \
+         --seed --ft-timeout-ms --frontier-k --kernelize --metrics-out --trace",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "--results --synth --seed --addr --shards --batch-max --queue-cap --cache-cap \
+         --admit-rps --admit-burst-secs --reactors --duration-secs --metrics-out --trace",
+    ),
+    (
+        "loadgen",
+        cmd_loadgen,
+        "--proto --clients --connections --inflight --window --requests --profiles \
+         --seed --swaps --swap-gap-ms --publish --shards --batch-max --queue-cap \
+         --cache-cap --admit-rps --tenants --metrics-out --trace",
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -894,18 +943,19 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "synth" => cmd_synth(rest),
-        "discover" => cmd_discover(rest),
-        "classify" => cmd_classify(rest),
-        "cluster" => cmd_cluster(rest),
-        "serve" => cmd_serve(rest),
-        "loadgen" => cmd_loadgen(rest),
-        "--help" | "-h" | "help" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Some((name, run, flags)) => match rest
+            .iter()
+            .find(|a| a.starts_with("--") && !flags.split_whitespace().any(|f| f == *a))
+        {
+            Some(unknown) => Err(format!("{name} does not accept {unknown} (see --help)")),
+            None => run(rest),
+        },
+        None if matches!(cmd.as_str(), "--help" | "-h" | "help") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other}\n{USAGE}")),
+        None => Err(format!("unknown command {cmd}\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

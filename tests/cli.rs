@@ -118,6 +118,47 @@ fn discover_rejects_bad_hits() {
 }
 
 #[test]
+fn unknown_flags_are_refused() {
+    // A misspelt `--max-combos` used to be ignored: the run exited 0 and
+    // wrote every combination instead of one.
+    let dir = tempdir("unknown-flag");
+    let out = bin()
+        .args(["synth", "--out-dir"])
+        .arg(&dir)
+        .args(["--genes", "12", "--hits", "2", "--combos", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let results = dir.join("results.tsv");
+    let out = bin()
+        .args(["discover", "--hits", "2", "--max-combo", "1", "--tumor"])
+        .arg(dir.join("tumor.maf"))
+        .arg("--normal")
+        .arg(dir.join("normal.maf"))
+        .arg("--out")
+        .arg(&results)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--max-combo was accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--max-combo"), "{err}");
+    assert!(
+        !results.exists(),
+        "a refused run wrote {}",
+        results.display()
+    );
+    for cmd in [
+        "synth", "discover", "classify", "cluster", "serve", "loadgen",
+    ] {
+        let out = bin().args([cmd, "--no-such-flag"]).output().unwrap();
+        assert!(!out.status.success(), "{cmd} accepted --no-such-flag");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--no-such-flag"), "{cmd}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn missing_arguments_are_reported() {
     let out = bin().arg("discover").output().unwrap();
     assert!(!out.status.success());
@@ -150,6 +191,51 @@ fn inject_rejects_faults_aimed_at_ranks_that_never_exist() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("dead_ranks\t[5]"));
+}
+
+#[test]
+fn inject_report_differs_only_in_its_paced_counters() {
+    // Two runs of one seed and plan at once, probing every millisecond:
+    // only the counters paced by the clock may differ between them.
+    let run = || {
+        bin()
+            .args(["cluster", "--nodes", "4", "--seed", "2021"])
+            .args(["--ft-timeout-ms", "1", "--inject"])
+            .arg("rank-kill=1@2, msg-corrupt=3-2, ckpt-bitflip=4")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let (a, b) = (run(), run());
+    let fixed = |child: std::process::Child| -> Vec<String> {
+        let out = child.wait_with_output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        for key in [
+            "paced_retransmits",
+            "paced_retrans_requests",
+            "paced_timeouts",
+        ] {
+            let prefix = format!("{key}\t");
+            assert!(
+                stdout.lines().any(|l| l.starts_with(&prefix)),
+                "no {key}: {stdout}"
+            );
+        }
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("paced_"))
+            .map(str::to_string)
+            .collect()
+    };
+    let (a, b) = (fixed(a), fixed(b));
+    assert!(a.contains(&"dead_ranks\t[1]".to_string()), "{a:?}");
+    assert_eq!(a, b);
 }
 
 #[test]

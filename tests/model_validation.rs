@@ -2,7 +2,7 @@
 //! free parameters of the timing model must be consistent with what the
 //! real algorithm does at executable scale.
 
-use multihit::cluster::driver::{coverage_profile, model_run, ModelConfig};
+use multihit::cluster::timing::{coverage_profile, model_run, ModelConfig};
 use multihit::core::greedy::{discover, GreedyConfig};
 use multihit::data::synth::{generate, CohortSpec};
 

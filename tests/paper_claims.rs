@@ -2,8 +2,11 @@
 //! the section it reproduces. Bands are asserted, not exact values (our
 //! substrate is a simulator, not Summit; see EXPERIMENTS.md).
 
-use multihit::cluster::driver::{model_run, ModelConfig, SchedulerKind};
-use multihit::cluster::timing::{average_efficiency, strong_scaling_sweep, weak_scaling_sweep};
+use multihit::cluster::driver::SchedulerKind;
+use multihit::cluster::timing::{
+    average_efficiency, coverage_profile, model_run, strong_scaling_sweep, weak_scaling_sweep,
+    ModelConfig,
+};
 use multihit::core::combin::binomial;
 use multihit::core::reduce::footprint_bytes;
 use multihit::core::schemes::Scheme4;
@@ -67,7 +70,7 @@ fn section_ivd_2x2_collapse_vs_3x1() {
             c.g = 14018;
             c.n_tumor = 182;
             c.scheme = scheme;
-            c.coverage = multihit::cluster::driver::coverage_profile(182, 0.55);
+            c.coverage = coverage_profile(182, 0.55);
             c
         }
     };
