@@ -7,18 +7,26 @@
 //! parser, and the summarizer itself. Round-tripping a cohort through MAF
 //! text and back yields the original matrices (tested), so the algorithm's
 //! input path matches the paper's end to end.
+//!
+//! A parsed record borrows its gene symbol and sample barcode from the MAF
+//! text, so parsing allocates one `String` per record (the variant class)
+//! and dropping the records frees no per-field heap. The parser walks each
+//! line's fields only up to the last column it needs: real TCGA MAFs carry
+//! 100+ columns, and the four it reads need not come first.
 
 use multihit_core::bitmat::BitMatrix;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// One MAF record (the fields the summarizer consumes).
+/// One MAF record (the fields the summarizer consumes). The gene symbol and
+/// barcode borrow from the text [`parse_maf`] read them from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MafRecord {
+pub struct MafRecord<'a> {
     /// Gene symbol (`Hugo_Symbol`).
-    pub hugo_symbol: String,
+    pub hugo_symbol: Cow<'a, str>,
     /// Sample barcode (`Tumor_Sample_Barcode`).
-    pub sample_barcode: String,
+    pub sample_barcode: Cow<'a, str>,
     /// Variant classification (e.g. `Missense_Mutation`, `Silent`).
     pub variant_classification: String,
     /// 1-based protein position, when applicable.
@@ -47,7 +55,7 @@ const HEADER: &str = "Hugo_Symbol\tTumor_Sample_Barcode\tVariant_Classification\
 
 /// Serialize records to MAF text (header + one TSV line per record).
 #[must_use]
-pub fn write_maf(records: &[MafRecord]) -> String {
+pub fn write_maf(records: &[MafRecord<'_>]) -> String {
     let mut out = String::with_capacity(records.len() * 48 + HEADER.len() + 1);
     out.push_str(HEADER);
     out.push('\n');
@@ -91,7 +99,7 @@ impl std::error::Error for MafError {}
 /// Parse MAF text. Column order is taken from the header (TCGA MAFs carry
 /// 100+ columns; we locate the four we need). Lines starting with `#` are
 /// comments. Unparsable protein positions become `None`.
-pub fn parse_maf(text: &str) -> Result<Vec<MafRecord>, MafError> {
+pub fn parse_maf(text: &str) -> Result<Vec<MafRecord<'_>>, MafError> {
     let mut lines = text
         .lines()
         .enumerate()
@@ -105,26 +113,40 @@ pub fn parse_maf(text: &str) -> Result<Vec<MafRecord>, MafError> {
             .position(|c| *c == name)
             .ok_or_else(|| MafError::BadHeader(name.into()))
     };
-    let c_sym = find("Hugo_Symbol")?;
-    let c_bar = find("Tumor_Sample_Barcode")?;
-    let c_cls = find("Variant_Classification")?;
-    let c_pos = find("Protein_position")?;
-    let needed = c_sym.max(c_bar).max(c_cls).max(c_pos);
+    let wanted = [
+        find("Hugo_Symbol")?,
+        find("Tumor_Sample_Barcode")?,
+        find("Variant_Classification")?,
+        find("Protein_position")?,
+    ];
+    // Column → which wanted field it holds, up to the last wanted column.
+    let mut slot_of = vec![None; wanted.iter().max().map_or(0, |&c| c + 1)];
+    for (k, &c) in wanted.iter().enumerate() {
+        slot_of[c] = Some(k);
+    }
 
     let mut out = Vec::new();
     for (idx, line) in lines {
         if line.is_empty() {
             continue;
         }
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() <= needed {
+        let mut got = [""; 4];
+        let mut seen = 0;
+        for (field, slot) in line.split('\t').zip(&slot_of) {
+            if let Some(k) = *slot {
+                got[k] = field;
+            }
+            seen += 1;
+        }
+        if seen < slot_of.len() {
             return Err(MafError::ShortLine { line: idx + 1 });
         }
+        let [sym, bar, cls, pos] = got;
         out.push(MafRecord {
-            hugo_symbol: f[c_sym].to_string(),
-            sample_barcode: f[c_bar].to_string(),
-            variant_classification: f[c_cls].to_string(),
-            protein_position: f[c_pos].split('/').next().and_then(|p| p.parse().ok()),
+            hugo_symbol: Cow::Borrowed(sym),
+            sample_barcode: Cow::Borrowed(bar),
+            variant_classification: cls.to_string(),
+            protein_position: pos.split('/').next().and_then(|p| p.parse().ok()),
         });
     }
     Ok(out)
@@ -148,9 +170,9 @@ pub struct Summary {
 /// `gene_index` maps symbol → row. Samples are assigned columns in first-seen
 /// order (deterministic given record order).
 #[must_use]
-pub fn summarize(records: &[MafRecord], gene_index: &HashMap<String, usize>) -> Summary {
+pub fn summarize(records: &[MafRecord<'_>], gene_index: &HashMap<String, usize>) -> Summary {
     let mut samples: Vec<String> = Vec::new();
-    let mut sample_index: HashMap<String, usize> = HashMap::new();
+    let mut sample_index: HashMap<&str, usize> = HashMap::new();
     let mut cells: Vec<(usize, usize)> = Vec::new();
     let mut unknown_genes = 0usize;
     let mut silent_skipped = 0usize;
@@ -160,15 +182,16 @@ pub fn summarize(records: &[MafRecord], gene_index: &HashMap<String, usize>) -> 
             silent_skipped += 1;
             continue;
         }
-        let Some(&g) = gene_index.get(&r.hugo_symbol) else {
+        let Some(&g) = gene_index.get(r.hugo_symbol.as_ref()) else {
             unknown_genes += 1;
             continue;
         };
-        let next = samples.len();
-        let s = *sample_index.entry(r.sample_barcode.clone()).or_insert(next);
-        if s == next {
-            samples.push(r.sample_barcode.clone());
-        }
+        let s = *sample_index
+            .entry(r.sample_barcode.as_ref())
+            .or_insert_with(|| {
+                samples.push(r.sample_barcode.to_string());
+                samples.len() - 1
+            });
         cells.push((g, s));
     }
 
@@ -187,20 +210,20 @@ pub fn summarize(records: &[MafRecord], gene_index: &HashMap<String, usize>) -> 
 /// Emit a cohort's tumor matrix as MAF records (one record per set bit),
 /// with deterministic barcodes `{prefix}-{s:04}`. Positions, when a
 /// position profile is supplied per gene, come from the profile; otherwise
-/// position 1 is used.
+/// position 1 is used. Gene symbols borrow from `gene_names`.
 #[must_use]
-pub fn matrix_to_records(
+pub fn matrix_to_records<'a>(
     matrix: &BitMatrix,
-    gene_names: &[String],
+    gene_names: &'a [String],
     barcode_prefix: &str,
-) -> Vec<MafRecord> {
+) -> Vec<MafRecord<'a>> {
     let mut out = Vec::new();
     for s in 0..matrix.n_samples() {
         for (g, name) in gene_names.iter().enumerate() {
             if matrix.get(g, s) {
                 out.push(MafRecord {
-                    hugo_symbol: name.clone(),
-                    sample_barcode: format!("{barcode_prefix}-{s:04}"),
+                    hugo_symbol: Cow::Borrowed(name),
+                    sample_barcode: Cow::Owned(format!("{barcode_prefix}-{s:04}")),
                     variant_classification: "Missense_Mutation".to_string(),
                     protein_position: Some(1),
                 });
@@ -346,5 +369,88 @@ mod tests {
                 assert_eq!(summary.matrix.get(g, new_s), cohort.tumor.get(g, old_s));
             }
         }
+    }
+
+    /// `records` as a 120-column MAF: the four columns the parser reads sit
+    /// at scattered positions, every other column carries filler.
+    fn write_wide(records: &[MafRecord<'_>]) -> String {
+        const WIDTH: usize = 120;
+        const AT: [(usize, &str); 4] = [
+            (97, "Hugo_Symbol"),
+            (5, "Tumor_Sample_Barcode"),
+            (63, "Variant_Classification"),
+            (118, "Protein_position"),
+        ];
+        let row = |cell: &dyn Fn(usize) -> String| -> String {
+            (0..WIDTH).map(cell).collect::<Vec<_>>().join("\t")
+        };
+        let named = |c: usize| AT.iter().position(|&(at, _)| at == c);
+        let mut out = row(&|c| named(c).map_or(format!("Col_{c}"), |k| AT[k].1.to_string()));
+        out.push('\n');
+        for r in records {
+            let pos = r
+                .protein_position
+                .map_or(".".to_string(), |p| p.to_string());
+            let fields = [
+                &*r.hugo_symbol,
+                &*r.sample_barcode,
+                &r.variant_classification,
+                &pos,
+            ];
+            out += &row(&|c| named(c).map_or(format!("x{c}"), |k| fields[k].to_string()));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn wide_maf_reads_like_the_narrow_one() {
+        use crate::synth::{gene_symbols, generate, CohortSpec};
+        let cohort = generate(&CohortSpec {
+            n_genes: 20,
+            n_tumor: 30,
+            ..Default::default()
+        });
+        let names = gene_symbols(&cohort);
+        // Every third record gets a silent twin in a sample of its own, so
+        // the silent lines would add columns if they were counted.
+        let mut recs = Vec::new();
+        for (i, r) in matrix_to_records(&cohort.tumor, &names, "T")
+            .into_iter()
+            .enumerate()
+        {
+            if i % 3 == 0 {
+                recs.push(MafRecord {
+                    sample_barcode: Cow::Owned(format!("SILENT-{i}")),
+                    variant_classification: "Silent".into(),
+                    ..r.clone()
+                });
+            }
+            recs.push(r);
+        }
+        let gi: HashMap<String, usize> = names.iter().cloned().zip(0..).collect();
+        let narrow_text = write_maf(&recs);
+        let wide_text = write_wide(&recs);
+        let narrow = summarize(&parse_maf(&narrow_text).unwrap(), &gi);
+        let wide = summarize(&parse_maf(&wide_text).unwrap(), &gi);
+        assert_eq!(parse_maf(&wide_text).unwrap(), recs);
+        assert_eq!(wide.matrix, narrow.matrix);
+        assert_eq!(wide.samples, narrow.samples);
+        assert_eq!(wide.silent_skipped, narrow.silent_skipped);
+        assert!(narrow.silent_skipped > 0);
+
+        // A line cut short after a comment line: both report the line's
+        // number in the file, comments counted.
+        let cut = |text: &str, keep: usize| {
+            let mut lines: Vec<String> = text.lines().take(3).map(str::to_string).collect();
+            lines.insert(0, "#version 2.4".into());
+            lines.push("#a comment".into());
+            let last = text.lines().nth(3).unwrap();
+            lines.push(last.split('\t').take(keep).collect::<Vec<_>>().join("\t"));
+            parse_maf(&lines.join("\n")).unwrap_err()
+        };
+        assert_eq!(cut(&narrow_text, 3), MafError::ShortLine { line: 6 });
+        assert_eq!(cut(&wide_text, 118), MafError::ShortLine { line: 6 });
+        assert_eq!(cut(&wide_text, 64), MafError::ShortLine { line: 6 });
     }
 }

@@ -14,7 +14,7 @@ fn arb_symbol() -> impl Strategy<Value = String> {
     "[A-Z][A-Z0-9]{1,6}"
 }
 
-fn arb_record() -> impl Strategy<Value = MafRecord> {
+fn arb_record() -> impl Strategy<Value = MafRecord<'static>> {
     (
         arb_symbol(),
         "[A-Z]{2}-[0-9]{2}",
@@ -29,8 +29,8 @@ fn arb_record() -> impl Strategy<Value = MafRecord> {
     )
         .prop_map(
             |(hugo_symbol, sample_barcode, class, protein_position)| MafRecord {
-                hugo_symbol,
-                sample_barcode,
+                hugo_symbol: hugo_symbol.into(),
+                sample_barcode: sample_barcode.into(),
                 variant_classification: class.to_string(),
                 protein_position,
             },
@@ -49,7 +49,7 @@ proptest! {
 
     #[test]
     fn summarize_counts_protein_altering_only(records in prop::collection::vec(arb_record(), 0..60)) {
-        let mut genes: Vec<String> = records.iter().map(|r| r.hugo_symbol.clone()).collect();
+        let mut genes: Vec<String> = records.iter().map(|r| r.hugo_symbol.to_string()).collect();
         genes.sort();
         genes.dedup();
         let index: HashMap<String, usize> =

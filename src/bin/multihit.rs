@@ -80,7 +80,11 @@
 //! cross-check mismatch — the CI serving gate.
 //!
 //! Each subcommand accepts only the flags listed above for it; any other
-//! `--flag` is an error that names it.
+//! `--flag` is an error that names it, and so is a flag that takes a value
+//! when no value follows it. `cluster` refuses the flags of the mode it is
+//! not running: `--dataset`, `--mtbf`, `--ckpt-write` and `--recovery-time`
+//! with `--inject`, and `--seed`, `--ft-timeout-ms`, `--frontier-k` and
+//! `--kernelize` without it.
 //!
 //! `--metrics-out` writes the observability stream (JSON lines: spans,
 //! per-iteration/per-rank points, final counters) produced by the run;
@@ -222,20 +226,19 @@ fn load_matrices(
     normal_path: &str,
 ) -> Result<(BitMatrix, BitMatrix, Vec<String>), String> {
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let t_recs = parse_maf(&read(tumor_path)?).map_err(|e| format!("{tumor_path}: {e}"))?;
-    let n_recs = parse_maf(&read(normal_path)?).map_err(|e| format!("{normal_path}: {e}"))?;
-    let mut genes: Vec<String> = t_recs
+    // The records borrow their symbols and barcodes from the two texts.
+    let (t_text, n_text) = (read(tumor_path)?, read(normal_path)?);
+    let t_recs = parse_maf(&t_text).map_err(|e| format!("{tumor_path}: {e}"))?;
+    let n_recs = parse_maf(&n_text).map_err(|e| format!("{normal_path}: {e}"))?;
+    let mut symbols: Vec<&str> = t_recs
         .iter()
         .chain(n_recs.iter())
-        .map(|r| r.hugo_symbol.clone())
+        .map(|r| r.hugo_symbol.as_ref())
         .collect();
-    genes.sort();
-    genes.dedup();
-    let index: HashMap<String, usize> = genes
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.clone(), i))
-        .collect();
+    symbols.sort_unstable();
+    symbols.dedup();
+    let genes: Vec<String> = symbols.into_iter().map(str::to_string).collect();
+    let index: HashMap<String, usize> = genes.iter().cloned().zip(0..).collect();
     let tumor = summarize(&t_recs, &index);
     let normal = summarize(&n_recs, &index);
     eprintln!(
@@ -463,6 +466,11 @@ fn parse_scheduler(args: &[String]) -> Result<Option<SchedulerKind>, String> {
     }
 }
 
+/// `cluster` flags only the modelled run reads.
+const MODELLED_ONLY: [&str; 4] = ["--dataset", "--mtbf", "--ckpt-write", "--recovery-time"];
+/// `cluster` flags only the `--inject` run reads.
+const INJECT_ONLY: [&str; 4] = ["--seed", "--ft-timeout-ms", "--frontier-k", "--kernelize"];
+
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let nodes: usize = parse_or(args, "--nodes", 8usize)?;
     if nodes == 0 {
@@ -477,7 +485,18 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         Obs::enabled()
     };
 
-    if let Some(specs) = arg_value(args, "--inject") {
+    // The two modes share one flag list; a flag only the other mode reads
+    // would be silently ignored.
+    let inject = arg_value(args, "--inject");
+    let (foreign, mode) = if inject.is_some() {
+        (MODELLED_ONLY, "with")
+    } else {
+        (INJECT_ONLY, "without")
+    };
+    if let Some(f) = foreign.iter().find(|f| has_flag(args, f)) {
+        return Err(format!("cluster {mode} --inject does not accept {f}"));
+    }
+    if let Some(specs) = inject {
         cluster_fault_demo(args, &specs, nodes, &obs)?;
         return finish_obs(&obs, metrics_out.as_deref());
     }
@@ -898,43 +917,66 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
 
 type Subcommand = fn(&[String]) -> Result<(), String>;
 
-/// Every subcommand with the one list of flags it accepts. Any other
-/// argument that begins with `--` is refused, so a misspelt flag fails the
-/// run instead of silently leaving its default in place.
-const COMMANDS: &[(&str, Subcommand, &str)] = &[
+/// Every subcommand with the flags it accepts: first those that take a
+/// value, then the switches. Any other argument that begins with `--` is
+/// refused, so a misspelt flag fails the run instead of silently leaving
+/// its default in place; a value flag with nothing after it, or with a
+/// `--flag` after it, is refused too.
+const COMMANDS: &[(&str, Subcommand, &str, &str)] = &[
     (
         "synth",
         cmd_synth,
         "--out-dir --genes --tumor --normal --combos --hits --penetrance \
          --noise-tumor --noise-normal --seed",
+        "",
     ),
     (
         "discover",
         cmd_discover,
-        "--tumor --normal --hits --max-combos --cohort --out --publish --no-prune \
-         --scan --no-kernelize --no-block-sweep --sparse --frontier-k --metrics-out --trace",
+        "--tumor --normal --hits --max-combos --cohort --out --publish --scan --sparse \
+         --frontier-k --metrics-out",
+        "--no-prune --no-kernelize --no-block-sweep --trace",
     ),
-    ("classify", cmd_classify, "--results --tumor --normal"),
+    ("classify", cmd_classify, "--results --tumor --normal", ""),
     (
         "cluster",
         cmd_cluster,
         "--dataset --nodes --scheduler --mtbf --ckpt-write --recovery-time --inject \
-         --seed --ft-timeout-ms --frontier-k --kernelize --metrics-out --trace",
+         --seed --ft-timeout-ms --frontier-k --metrics-out",
+        "--kernelize --trace",
     ),
     (
         "serve",
         cmd_serve,
-        "--results --synth --seed --addr --shards --batch-max --queue-cap --cache-cap \
-         --admit-rps --admit-burst-secs --reactors --duration-secs --metrics-out --trace",
+        "--results --seed --addr --shards --batch-max --queue-cap --cache-cap \
+         --admit-rps --admit-burst-secs --reactors --duration-secs --metrics-out",
+        "--synth --trace",
     ),
     (
         "loadgen",
         cmd_loadgen,
         "--proto --clients --connections --inflight --window --requests --profiles \
-         --seed --swaps --swap-gap-ms --publish --shards --batch-max --queue-cap \
-         --cache-cap --admit-rps --tenants --metrics-out --trace",
+         --seed --swaps --swap-gap-ms --shards --batch-max --queue-cap --cache-cap \
+         --admit-rps --tenants --metrics-out",
+        "--publish --trace",
     ),
 ];
+
+/// Check `args` against a subcommand's value flags and switches.
+fn check_flags(cmd: &str, args: &[String], values: &str, switches: &str) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if values.split_whitespace().any(|f| f == a) {
+            match args.next() {
+                Some(v) if !v.starts_with("--") => {}
+                _ => return Err(format!("{a} needs a value")),
+            }
+        } else if a.starts_with("--") && !switches.split_whitespace().any(|f| f == a) {
+            return Err(format!("{cmd} does not accept {a} (see --help)"));
+        }
+    }
+    Ok(())
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -944,13 +986,9 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
-        Some((name, run, flags)) => match rest
-            .iter()
-            .find(|a| a.starts_with("--") && !flags.split_whitespace().any(|f| f == *a))
-        {
-            Some(unknown) => Err(format!("{name} does not accept {unknown} (see --help)")),
-            None => run(rest),
-        },
+        Some((name, run, values, switches)) => {
+            check_flags(name, rest, values, switches).and_then(|()| run(rest))
+        }
         None if matches!(cmd.as_str(), "--help" | "-h" | "help") => {
             println!("{USAGE}");
             Ok(())

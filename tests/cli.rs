@@ -159,6 +159,86 @@ fn unknown_flags_are_refused() {
 }
 
 #[test]
+fn value_flags_without_a_value_are_refused() {
+    // `--out --trace` used to write a panel to a file named `--trace`, and
+    // a trailing `--metrics-out` was dropped: both runs exited 0.
+    let dir = tempdir("no-value");
+    let out = bin()
+        .args(["synth", "--out-dir"])
+        .arg(&dir)
+        .args(["--genes", "12", "--hits", "2", "--combos", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bin()
+        .current_dir(&dir)
+        .args(["discover", "--hits", "2", "--tumor", "tumor.maf"])
+        .args(["--normal", "normal.maf", "--out", "--trace"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--out --trace was accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--out"), "{err}");
+    assert!(!dir.join("--trace").exists(), "wrote a file named --trace");
+    let out = bin()
+        .args([
+            "cluster",
+            "--dataset",
+            "acc",
+            "--nodes",
+            "4",
+            "--metrics-out",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        !out.status.success(),
+        "a trailing --metrics-out was accepted"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--metrics-out"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cluster_refuses_the_other_modes_flags() {
+    // The modelled run's flags used to be read by nothing under --inject
+    // (and the --inject run's by nothing without it), so they were ignored.
+    for flag in [
+        ["--dataset", "brca"],
+        ["--mtbf", "1e3"],
+        ["--ckpt-write", "1"],
+        ["--recovery-time", "5"],
+    ] {
+        let out = bin()
+            .args(["cluster", "--nodes", "4", "--inject", "rank-kill=1@2"])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag:?} was accepted with --inject");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag[0]), "{flag:?}: {err}");
+    }
+    for flag in [
+        &["--seed", "7"][..],
+        &["--ft-timeout-ms", "1"],
+        &["--kernelize"],
+    ] {
+        let out = bin()
+            .args(["cluster", "--dataset", "acc", "--nodes", "4"])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert!(
+            !out.status.success(),
+            "{flag:?} was accepted without --inject"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag[0]), "{flag:?}: {err}");
+    }
+}
+
+#[test]
 fn missing_arguments_are_reported() {
     let out = bin().arg("discover").output().unwrap();
     assert!(!out.status.success());
